@@ -131,7 +131,7 @@ impl fmt::Display for AddrSource {
 }
 
 /// One memory-port field.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MemField {
     /// Read memory into a register.
     Read {

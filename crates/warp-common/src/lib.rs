@@ -18,6 +18,8 @@
 //!   observation hooks the driver's pass manager is built on.
 //! * [`CancelToken`], [`Clock`] and friends — cooperative cancellation
 //!   and injectable time for the resilient service layer.
+//! * [`RingQueue`] — the fixed-capacity inter-cell word queue both
+//!   executors (simulator and native backend) run on.
 //!
 //! # Examples
 //!
@@ -35,6 +37,7 @@ pub mod hash;
 pub mod idvec;
 pub mod intern;
 pub mod observe;
+pub mod queue;
 pub mod rat;
 pub mod span;
 pub mod vfs;
@@ -48,6 +51,7 @@ pub use hash::{fnv1a64, ContentKey, StableHasher};
 pub use idvec::IdVec;
 pub use intern::{Interner, Symbol};
 pub use observe::{Artifact, CollectDumps, NullObserver, PassDump, PassObserver, PassTiming};
+pub use queue::RingQueue;
 pub use rat::Rat;
 pub use span::Span;
 pub use vfs::{atomic_write, FaultCounts, FaultProfile, FaultVfs, MemVfs, RealVfs, Vfs, VfsError};

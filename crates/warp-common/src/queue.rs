@@ -1,14 +1,16 @@
 //! The fixed-capacity ring-buffer queue carrying words between
-//! neighbouring cells.
+//! neighbouring cells, shared by both executors.
 //!
 //! The native executor runs each cell to completion before its
 //! downstream neighbour starts, so a channel's queue must hold every
 //! word the producer ever sends — the capacity is computed statically
-//! from the program's send counts ([`super::NativeProgram::build`])
-//! and an in-bounds program can never observe a full queue. The ring
-//! structure still matters: `head` wraps, storage is a single flat
-//! allocation reused across cells, and the high-water mark feeds the
-//! run report's queue-occupancy observations.
+//! from the program's send counts and an in-bounds program can never
+//! observe a full queue. The cycle-level simulator sizes a queue one
+//! word above the machine's capacity: a send and its matching receive
+//! may share a cycle, and overflow is judged at the end of it. The
+//! ring structure matters to both: `head` wraps without a division,
+//! storage is a single flat allocation, and the high-water mark feeds
+//! the native run report's queue-occupancy observations.
 
 /// A fixed-capacity FIFO of `f32` words over a flat ring buffer.
 #[derive(Clone, Debug)]
@@ -104,8 +106,8 @@ impl RingQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix64;
     use std::collections::VecDeque;
-    use warp_common::SplitMix64;
 
     #[test]
     fn fifo_order_and_wraparound() {

@@ -48,6 +48,7 @@ use std::collections::{BTreeMap, HashMap};
 use w2_lang::ast::{Chan, Dir};
 use w2_lang::hir::{VarId, VarInfo, VarKind};
 use warp_cell::CellCode;
+use warp_common::idvec::Id;
 use warp_common::{Diagnostic, DiagnosticBag, IdVec};
 use warp_ir::CellIr;
 use warp_skew::{visit_events, HostBinding};
@@ -245,7 +246,9 @@ fn checked_index(ir: &CellIr, var: VarId, index: i64, diags: &mut DiagnosticBag)
 /// reads `out` parameters after it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HostMemory {
-    arrays: HashMap<VarId, Vec<f32>>,
+    /// Storage by variable id (ids are dense): one indexed load per
+    /// word for the executors. `None` for non-host variables.
+    arrays: Vec<Option<Vec<f32>>>,
     by_name: HashMap<String, VarId>,
 }
 
@@ -254,12 +257,22 @@ impl HostMemory {
     pub fn new(vars: &IdVec<VarId, VarInfo>) -> HostMemory {
         let mut mem = HostMemory::default();
         for (id, info) in vars.iter() {
-            if info.kind == VarKind::Host {
-                mem.arrays.insert(id, vec![0.0; info.size() as usize]);
+            let host = info.kind == VarKind::Host;
+            mem.arrays
+                .push(host.then(|| vec![0.0; info.size() as usize]));
+            if host {
                 mem.by_name.insert(info.name.clone(), id);
             }
         }
         mem
+    }
+
+    fn array(&self, var: VarId) -> Option<&Vec<f32>> {
+        self.arrays.get(var.index())?.as_ref()
+    }
+
+    fn array_mut(&mut self, var: VarId) -> Option<&mut Vec<f32>> {
+        self.arrays.get_mut(var.index())?.as_mut()
     }
 
     /// Resolves a host variable by source name.
@@ -277,7 +290,7 @@ impl HostMemory {
         let var = self.var(name).ok_or_else(|| HostError::UnknownVariable {
             name: name.to_owned(),
         })?;
-        let arr = self.arrays.get_mut(&var).expect("host storage exists");
+        let arr = self.array_mut(var).expect("host storage exists");
         if arr.len() != data.len() {
             return Err(HostError::LengthMismatch {
                 name: name.to_owned(),
@@ -298,7 +311,7 @@ impl HostMemory {
         let var = self.var(name).ok_or_else(|| HostError::UnknownVariable {
             name: name.to_owned(),
         })?;
-        Ok(&self.arrays[&var])
+        Ok(self.array(var).expect("host storage exists"))
     }
 
     /// Moves a variable's words out of the image without copying. The
@@ -308,7 +321,7 @@ impl HostMemory {
     /// the arrays flat for the duration of a run.
     pub fn take_words(&mut self, name: &str) -> Option<Vec<f32>> {
         let var = self.var(name)?;
-        Some(std::mem::take(self.arrays.get_mut(&var)?))
+        Some(std::mem::take(self.array_mut(var)?))
     }
 
     /// Moves words back into a variable taken with
@@ -323,18 +336,18 @@ impl HostMemory {
         let var = self.var(name).ok_or_else(|| HostError::UnknownVariable {
             name: name.to_owned(),
         })?;
-        self.arrays.insert(var, words);
+        *self.array_mut(var).expect("host storage exists") = words;
         Ok(())
     }
 
     /// Reads one word by variable id.
     pub fn word(&self, var: VarId, index: u32) -> f32 {
-        self.arrays[&var][index as usize]
+        self.array(var).expect("a host variable")[index as usize]
     }
 
     /// Writes one word by variable id.
     pub fn set_word(&mut self, var: VarId, index: u32, value: f32) {
-        if let Some(arr) = self.arrays.get_mut(&var) {
+        if let Some(arr) = self.array_mut(var) {
             arr[index as usize] = value;
         }
     }

@@ -42,6 +42,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Applies the comparison to concrete values.
+    #[inline]
     pub fn apply(self, l: f32, r: f32) -> bool {
         match self {
             CmpOp::Eq => l == r,

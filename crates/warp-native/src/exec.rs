@@ -25,12 +25,11 @@
 use std::collections::BTreeMap;
 
 use w2_lang::ast::Chan;
-use warp_common::{CancelReason, CancelToken};
+use warp_common::{CancelReason, CancelToken, RingQueue};
 use warp_host::HostMemory;
 use warp_sim::RunReport;
 
 use crate::program::{NativeProgram, Op};
-use crate::queue::RingQueue;
 
 /// The two channels, in slot order (`chan_slot` is the inverse).
 const CHANS: [Chan; 2] = [Chan::X, Chan::Y];

@@ -49,11 +49,10 @@
 
 mod exec;
 mod program;
-pub mod queue;
 
 pub use exec::{NativeError, NativeOptions, NativeRunner};
 pub use program::NativeProgram;
-pub use queue::RingQueue;
+pub use warp_common::RingQueue;
 
 #[cfg(test)]
 mod tests {

@@ -14,7 +14,7 @@
 //! the workspace root compile W2 programs and compare simulated results
 //! against straightforward Rust reference implementations.
 
-pub mod cursor;
+mod decode;
 pub mod error;
 pub mod fault;
 pub mod machine;
@@ -23,7 +23,6 @@ pub mod report;
 #[cfg(test)]
 mod tests_errors;
 
-pub use cursor::Cursor;
 pub use error::SimError;
 pub use fault::{splitmix64, Fault, FaultPlan, FaultSpecError};
 pub use machine::{

@@ -18,19 +18,17 @@
 //! violation as a structured [`FaultReport`] carrying queue high-water
 //! marks, the last trace events, and the static claims under test.
 
-use crate::cursor::Cursor;
+use crate::decode::{chan_idx, chan_of, Fpu, Op, Program, Sequencer};
 use crate::error::SimError;
 use crate::fault::{Fault, FaultPlan};
 use crate::report::{FaultReport, StaticClaims};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use w2_lang::ast::{Chan, Dir};
-use warp_cell::{
-    AddrSource, AluOp, CellCode, CellMachine, FpuField, IoField, MemField, Operand, Reg,
-};
-use warp_common::CancelToken;
+use warp_cell::{AddrSource, CellCode, CellMachine};
+use warp_common::{CancelToken, RingQueue};
 use warp_host::{HostMemory, HostProgram, HostWordSource};
 use warp_ir::CmpOp;
-use warp_iu::IuProgram;
+use warp_iu::{Emission, IuProgram};
 
 /// Everything the simulator needs to run one module.
 #[derive(Clone, Copy, Debug)]
@@ -114,25 +112,144 @@ impl RunReport {
     }
 }
 
+/// Most register writebacks that can fall due in one cycle of one
+/// cell: two FPU fields at each of the two FPU latencies, two memory
+/// ports, two receive ports (the other two I/O ports face the wrong
+/// way).
+const SLOT_WRITES: usize = 8;
+
+/// The writebacks due in one cycle, in the order they were issued.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    len: usize,
+    writes: [(u32, f32); SLOT_WRITES],
+}
+
 struct Cell<'a> {
-    cursor: Cursor<'a>,
+    seq: Sequencer,
     start: u64,
-    done: bool,
     memory: Vec<f32>,
+    /// The allocator's registers, the sink, then the constants.
     regs: Vec<f32>,
-    /// Pending register writebacks: `(due local cycle, register, value)`.
-    pending: Vec<(u64, Reg, f32)>,
-    /// Adr path arrivals: `(available at global cycle, address)`.
-    adr: VecDeque<(u64, u32)>,
+    /// The writeback wheel: slot `c & mask` holds the writes that land
+    /// at the start of local cycle `c`. It has more slots than the
+    /// longest delay, so a slot is drained before it is refilled, and
+    /// appending keeps the writes of one cycle in issue order.
+    wheel: Vec<Slot>,
+    mask: u64,
+    /// Adr path arrivals (cycles relative to this cell's start) and
+    /// the next one to consume.
+    adr: &'a [Emission],
+    adr_next: usize,
     fp_ops: u64,
+}
+
+impl Cell<'_> {
+    /// Schedules `regs[reg] = value` for `delay >= 1` cycles after
+    /// local cycle `local`.
+    fn defer(&mut self, local: u64, delay: u32, reg: u32, value: f32) {
+        let slot = &mut self.wheel[((local + u64::from(delay)) & self.mask) as usize];
+        slot.writes[slot.len] = (reg, value);
+        slot.len += 1;
+    }
+
+    /// Issues the FPU op `f` at local cycle `local`: `eval` maps its
+    /// three operand values to the result.
+    fn fpu(&mut self, local: u64, f: Fpu, eval: impl FnOnce(f32, f32, f32) -> f32) {
+        let [a, b, c] = f.srcs.map(|r| self.regs[r as usize]);
+        self.fp_ops += 1;
+        self.defer(local, f.delay, f.dst, eval(a, b, c));
+    }
+
+    /// Lands the writebacks due at local cycle `local`.
+    fn write_back(&mut self, local: u64) {
+        let slot = &mut self.wheel[(local & self.mask) as usize];
+        for &(reg, value) in &slot.writes[..slot.len] {
+            self.regs[reg as usize] = value;
+        }
+        slot.len = 0;
+    }
+
+    fn resolve_addr(
+        &mut self,
+        addr: AddrSource,
+        memory_words: u32,
+        pos: usize,
+        t: u64,
+    ) -> Result<usize, SimError> {
+        let a = match addr {
+            AddrSource::Literal(a) => u32::from(a),
+            AddrSource::AdrQueue => {
+                let Some(e) = self.adr.get(self.adr_next) else {
+                    return Err(SimError::AddressUnderflow {
+                        cell: pos,
+                        cycle: t,
+                    });
+                };
+                let available = e.cycle + self.start;
+                if available > t {
+                    return Err(SimError::AddressLate {
+                        cell: pos,
+                        cycle: t,
+                        available,
+                    });
+                }
+                self.adr_next += 1;
+                e.addr
+            }
+        };
+        if a >= memory_words {
+            return Err(SimError::BadAddress {
+                cell: pos,
+                cycle: t,
+                addr: a as usize,
+            });
+        }
+        Ok(a as usize)
+    }
 }
 
 /// One deferred receive (phase 2 of a cycle).
 struct PendingRecv {
     pos: usize,
-    chan: Chan,
-    upstream: bool,
-    dst: Option<Reg>,
+    chan: usize,
+    dst: u32,
+    delay: u32,
+}
+
+/// The last trace events before a violation, oldest overwritten first.
+struct EventRing {
+    events: Vec<TraceEvent>,
+    /// Index of the oldest event once the ring is full.
+    oldest: usize,
+    capacity: usize,
+}
+
+impl EventRing {
+    fn new(capacity: usize) -> EventRing {
+        EventRing {
+            events: Vec::with_capacity(capacity.min(1024)),
+            oldest: 0,
+            capacity,
+        }
+    }
+
+    fn push(&mut self, ev: TraceEvent) {
+        if self.events.len() < self.capacity {
+            self.events.push(ev);
+        } else if self.capacity > 0 {
+            self.events[self.oldest] = ev;
+            self.oldest += 1;
+            if self.oldest == self.capacity {
+                self.oldest = 0;
+            }
+        }
+    }
+
+    fn oldest_first(&self) -> Vec<TraceEvent> {
+        let (newer, older) = self.events.split_at(self.oldest);
+        [older, newer].concat()
+    }
 }
 
 /// One observed I/O event (see [`run_traced`]).
@@ -159,7 +276,7 @@ pub struct TraceEvent {
 /// invariant (these indicate compiler bugs or deliberately injected bad
 /// parameters, not data conditions).
 pub fn run(cfg: &MachineConfig<'_>, host: HostMemory) -> Result<RunReport, SimError> {
-    run_impl(cfg, host, None, &SimOptions::default()).map_err(|r| r.error)
+    run_impl::<false>(cfg, host, None, &SimOptions::default()).map_err(|r| r.error)
 }
 
 /// Like [`run`], but records every send and receive with its cycle —
@@ -173,7 +290,7 @@ pub fn run_traced(
     host: HostMemory,
     trace: &mut Vec<TraceEvent>,
 ) -> Result<RunReport, SimError> {
-    run_impl(cfg, host, Some(trace), &SimOptions::default()).map_err(|r| r.error)
+    run_impl::<true>(cfg, host, Some(trace), &SimOptions::default()).map_err(|r| r.error)
 }
 
 /// Runs the module with explicit [`SimOptions`]: injected faults, the
@@ -188,10 +305,10 @@ pub fn run_with_options(
     host: HostMemory,
     opts: &SimOptions,
 ) -> Result<RunReport, Box<FaultReport>> {
-    run_impl(cfg, host, None, opts)
+    run_impl::<true>(cfg, host, None, opts)
 }
 
-fn run_impl(
+fn run_impl<const INSTRUMENTED: bool>(
     cfg: &MachineConfig<'_>,
     host: HostMemory,
     mut trace: Option<&mut Vec<TraceEvent>>,
@@ -207,60 +324,72 @@ fn run_impl(
     };
     let skew = u64::try_from((cfg.skew + plan.skew_delta()).max(0)).expect("non-negative skew");
     let capacity = plan.queue_capacity(cfg.machine.queue_capacity);
+    let memory_words = cfg.machine.memory_words;
 
-    // Pipeline positions: position 0 is the upstream-most cell.
+    let program = Program::decode(cfg.cell_code, cfg.machine, flow);
+    let wheel_slots = (program.max_delay as usize + 1).next_power_of_two();
+
+    // Pipeline positions: position 0 is the upstream-most cell. Every
+    // cell reads the one emission table unless an address fault
+    // targets it.
     let emissions = cfg.iu.emissions();
+    let faulted: Vec<Option<Vec<Emission>>> = (0..n)
+        .map(|p| faulted_adr_stream(&emissions, p, plan))
+        .collect();
     let mut cells: Vec<Cell> = (0..n)
-        .map(|p| {
-            let start = skew * p as u64;
-            Cell {
-                cursor: Cursor::new(&cfg.cell_code.regions),
-                start,
-                done: false,
-                memory: vec![0.0; cfg.machine.memory_words as usize],
-                regs: vec![0.0; cfg.machine.registers as usize],
-                pending: Vec::new(),
-                adr: faulted_adr_stream(&emissions, start, p, plan),
-                fp_ops: 0,
-            }
+        .map(|p| Cell {
+            seq: Sequencer::new(&program),
+            start: skew * p as u64,
+            memory: vec![0.0; memory_words as usize],
+            regs: program.regs.clone(),
+            wheel: vec![Slot::default(); wheel_slots],
+            mask: wheel_slots as u64 - 1,
+            adr: faulted[p].as_deref().unwrap_or(&emissions),
+            adr_next: 0,
+            fp_ops: 0,
         })
         .collect();
 
-    // Interior queues: queue[p] connects position p-1 to position p.
-    let mut queues: Vec<[VecDeque<f32>; 2]> =
-        (0..n).map(|_| [VecDeque::new(), VecDeque::new()]).collect();
-    let chan_idx = |c: Chan| match c {
-        Chan::X => 0usize,
-        Chan::Y => 1usize,
+    // Interior queues: queues[p] connects position p to position p+1.
+    // Overflow is judged at the end of a cycle and a send may share the
+    // cycle with its matching receive (Figure 6-3), so a queue holds one
+    // word more than the capacity under test — but never more than a
+    // cell sends in a whole run.
+    let ring_words = |ci: usize| {
+        usize::try_from(u64::from(capacity).min(program.sends[ci]) + 1).unwrap_or(usize::MAX)
     };
-    let chan_of = |ci: usize| if ci == 0 { Chan::X } else { Chan::Y };
+    let mut queues: Vec<[RingQueue; 2]> = (1..n)
+        .map(|_| [0, 1].map(|ci| RingQueue::with_capacity(ring_words(ci))))
+        .collect();
 
     // Boundary input: the host sustains full bandwidth (paper §2.1), so
-    // the input stream is modeled as an unbounded pre-filled queue.
-    let mut boundary_in: [VecDeque<f32>; 2] = [VecDeque::new(), VecDeque::new()];
+    // the input stream is modeled as a pre-filled stream and a cursor.
+    let mut boundary_in: [Vec<f32>; 2] = [Vec::new(), Vec::new()];
     for (chan, sources) in &cfg.host_program.inputs {
-        let q = &mut boundary_in[chan_idx(*chan)];
-        for s in sources {
-            q.push_back(match *s {
-                HostWordSource::Lit(v) => v,
-                HostWordSource::Elem { var, index } => host.word(var, index),
-            });
-        }
+        boundary_in[chan_idx(*chan)].extend(sources.iter().map(|s| match *s {
+            HostWordSource::Lit(v) => v,
+            HostWordSource::Elem { var, index } => host.word(var, index),
+        }));
     }
     for fault in &plan.faults {
         if let Fault::TruncateInput { chan, keep } = fault {
             boundary_in[chan_idx(*chan)].truncate(*keep);
         }
     }
+    let mut in_next = [0usize; 2];
     let mut boundary_out: [Vec<f32>; 2] = [Vec::new(), Vec::new()];
+    for (chan, sinks) in &cfg.host_program.outputs {
+        boundary_out[chan_idx(*chan)].reserve(sinks.len());
+    }
 
     let span = cfg.cell_code.dynamic_len();
     let deadline = plan.cycle_budget(skew * (n as u64 - 1) + span + 8);
-    let mut max_occ = 0usize;
-    let mut high_water: BTreeMap<Chan, u64> = BTreeMap::new();
-    let mut ring: VecDeque<TraceEvent> = VecDeque::with_capacity(opts.ring_capacity.min(1024));
+    // Highest end-of-cycle occupancy of any interior queue, per channel.
+    let mut high_water = [0usize; 2];
+    let mut ring = EventRing::new(if INSTRUMENTED { opts.ring_capacity } else { 0 });
     // Words committed so far per channel, for the drop/corrupt faults.
     let mut sent: [u64; 2] = [0, 0];
+    let mut recvs: Vec<PendingRecv> = Vec::new();
     let mut t: u64 = 0;
     let mut host = host;
 
@@ -270,148 +399,119 @@ fn run_impl(
             return Err(Box::new(FaultReport {
                 error: $err,
                 cycles_run: t,
-                queue_high_water: high_water.clone(),
-                recent_events: ring.iter().copied().collect(),
+                queue_high_water: high_water_map(high_water),
+                recent_events: ring.oldest_first(),
                 claims: opts.claims.clone(),
                 injected: plan.describe(),
             }))
         };
     }
     macro_rules! record {
-        ($ev:expr) => {{
-            let ev: TraceEvent = $ev;
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.push(ev);
-            }
-            if opts.ring_capacity > 0 {
-                if ring.len() == opts.ring_capacity {
-                    ring.pop_front();
+        ($ev:expr) => {
+            if INSTRUMENTED {
+                let ev: TraceEvent = $ev;
+                if let Some(tr) = trace.as_deref_mut() {
+                    tr.push(ev);
                 }
-                ring.push_back(ev);
+                ring.push(ev);
             }
-        }};
+        };
     }
 
     let poll_interval = opts.poll_interval.max(1);
-    loop {
-        if cells.iter().all(|c| c.done) {
-            break;
-        }
+    let mut next_poll = 0u64;
+    // Cells start in position order and, all running the same program,
+    // finish in it: the live ones are `finished..started`.
+    let (mut finished, mut started) = (0usize, 0usize);
+    while finished < n {
         if t > deadline {
             fail!(SimError::Hang { cycle: t });
         }
-        if t.is_multiple_of(poll_interval) {
+        if t == next_poll {
             if let Err(reason) = opts.cancel.check() {
                 fail!(SimError::Interrupted { cycle: t, reason });
             }
+            next_poll = next_poll.saturating_add(poll_interval);
         }
+        while started < n && cells[started].start <= t {
+            started += 1;
+        }
+        let live = finished..started;
 
-        // Fetch this cycle's instruction per active cell and apply due
-        // register writebacks (values land at the start of their cycle).
-        let mut insts: Vec<Option<&warp_cell::MicroInst>> = vec![None; n];
-        for (p, cell) in cells.iter_mut().enumerate() {
-            if cell.done || t < cell.start {
-                continue;
-            }
+        // Phase 1: land due register writebacks (values arrive at the
+        // start of their cycle), fetch, then compute, memory, sends.
+        recvs.clear();
+        for p in live.clone() {
+            let cell = &mut cells[p];
             let local = t - cell.start;
-            cell.pending.retain(|&(due, reg, value)| {
-                if due <= local {
-                    // `regs` indexed by allocator-assigned numbers.
-                    cell_write(&mut cell.regs, reg, value);
-                    false
-                } else {
-                    true
-                }
-            });
-            match cell.cursor.step() {
-                Some(inst) => insts[p] = Some(inst),
-                None => cell.done = true,
-            }
-        }
-
-        // Phase 1: compute, memory, sends.
-        let mut recvs: Vec<PendingRecv> = Vec::new();
-        for p in 0..n {
-            let Some(inst) = insts[p] else { continue };
-            let local = t - cells[p].start;
-
-            if let Some(f) = &inst.fadd {
-                let v = eval_fpu(f, &cells[p].regs);
-                cells[p].fp_ops += 1;
-                if let Some(dst) = f.dst {
-                    let lat = u64::from(alu_latency(cfg.machine, f.op));
-                    cells[p].pending.push((local + lat, dst, v));
-                }
-            }
-            if let Some(f) = &inst.fmul {
-                let v = eval_fpu(f, &cells[p].regs);
-                cells[p].fp_ops += 1;
-                if let Some(dst) = f.dst {
-                    let lat = u64::from(alu_latency(cfg.machine, f.op));
-                    cells[p].pending.push((local + lat, dst, v));
-                }
-            }
-            for slot in 0..2 {
-                let Some(m) = inst.mem[slot].clone() else {
-                    continue;
-                };
-                match m {
-                    MemField::Read { addr, dst } => {
-                        let a = match resolve_addr(cfg, &mut cells[p], addr, p, t) {
+            cell.write_back(local);
+            let Some(word) = cell.seq.step(&program) else {
+                finished += 1;
+                continue;
+            };
+            let bool_val = |x: bool| if x { 1.0 } else { 0.0 };
+            for op in program.word(word) {
+                match *op {
+                    Op::Add(f) => cell.fpu(local, f, |a, b, _| a + b),
+                    Op::Sub(f) => cell.fpu(local, f, |a, b, _| a - b),
+                    Op::Mul(f) => cell.fpu(local, f, |a, b, _| a * b),
+                    Op::Div(f) => cell.fpu(local, f, |a, b, _| a / b),
+                    Op::Neg(f) => cell.fpu(local, f, |a, _, _| -a),
+                    Op::Eq(f) => cell.fpu(local, f, |a, b, _| bool_val(CmpOp::Eq.apply(a, b))),
+                    Op::Ne(f) => cell.fpu(local, f, |a, b, _| bool_val(CmpOp::Ne.apply(a, b))),
+                    Op::Lt(f) => cell.fpu(local, f, |a, b, _| bool_val(CmpOp::Lt.apply(a, b))),
+                    Op::Le(f) => cell.fpu(local, f, |a, b, _| bool_val(CmpOp::Le.apply(a, b))),
+                    Op::Gt(f) => cell.fpu(local, f, |a, b, _| bool_val(CmpOp::Gt.apply(a, b))),
+                    Op::Ge(f) => cell.fpu(local, f, |a, b, _| bool_val(CmpOp::Ge.apply(a, b))),
+                    Op::And(f) => cell.fpu(local, f, |a, b, _| bool_val(a != 0.0 && b != 0.0)),
+                    Op::Or(f) => cell.fpu(local, f, |a, b, _| bool_val(a != 0.0 || b != 0.0)),
+                    Op::Not(f) => cell.fpu(local, f, |a, _, _| bool_val(a == 0.0)),
+                    Op::Select(f) => cell.fpu(local, f, |a, b, c| if a != 0.0 { b } else { c }),
+                    Op::Read { addr, dst, delay } => {
+                        let a = match cell.resolve_addr(addr, memory_words, p, t) {
                             Ok(a) => a,
                             Err(e) => fail!(e),
                         };
-                        let v = cells[p].memory[a];
-                        if let Some(dst) = dst {
-                            let lat = u64::from(cfg.machine.mem_latency);
-                            cells[p].pending.push((local + lat, dst, v));
-                        }
+                        let v = cell.memory[a];
+                        cell.defer(local, delay, dst, v);
                     }
-                    MemField::Write { addr, src } => {
-                        let a = match resolve_addr(cfg, &mut cells[p], addr, p, t) {
+                    Op::Write { addr, src } => {
+                        let a = match cell.resolve_addr(addr, memory_words, p, t) {
                             Ok(a) => a,
                             Err(e) => fail!(e),
                         };
-                        let v = operand(&cells[p].regs, src);
-                        cells[p].memory[a] = v;
+                        cell.memory[a] = cell.regs[src as usize];
                     }
-                }
-            }
-            for (io_idx, field) in inst.io.iter().enumerate() {
-                let Some(field) = field else { continue };
-                let (dir, chan) = io_unindex(io_idx);
-                match field {
-                    IoField::Send { src, .. } => {
-                        let mut v = operand(&cells[p].regs, *src);
-                        if dir != flow {
-                            fail!(SimError::WrongDirection { cell: p, cycle: t });
-                        }
-                        // In-transit faults: the word may be corrupted
-                        // or vanish between the send and its delivery.
-                        let word_idx = sent[chan_idx(chan)];
-                        sent[chan_idx(chan)] += 1;
+                    Op::Send { chan, src } => {
+                        let mut v = cell.regs[src as usize];
                         let mut dropped = false;
-                        for fault in &plan.faults {
-                            match fault {
-                                Fault::DropWord { chan: c, index }
-                                    if *c == chan && *index == word_idx =>
-                                {
-                                    dropped = true;
+                        if INSTRUMENTED {
+                            // In-transit faults: the word may be corrupted
+                            // or vanish between the send and its delivery.
+                            let word_idx = sent[chan];
+                            sent[chan] += 1;
+                            for fault in &plan.faults {
+                                match fault {
+                                    Fault::DropWord { chan: c, index }
+                                        if chan_idx(*c) == chan && *index == word_idx =>
+                                    {
+                                        dropped = true;
+                                    }
+                                    Fault::CorruptWord { chan: c, index }
+                                        if chan_idx(*c) == chan && *index == word_idx =>
+                                    {
+                                        v = f32::from_bits(
+                                            v.to_bits() ^ plan.corruption_mask(word_idx),
+                                        );
+                                    }
+                                    _ => {}
                                 }
-                                Fault::CorruptWord { chan: c, index }
-                                    if *c == chan && *index == word_idx =>
-                                {
-                                    v = f32::from_bits(
-                                        v.to_bits() ^ plan.corruption_mask(word_idx),
-                                    );
-                                }
-                                _ => {}
                             }
                         }
                         record!(TraceEvent {
                             cycle: t,
                             cell: p,
-                            chan,
+                            chan: chan_of(chan),
                             is_recv: false,
                             value: v,
                         });
@@ -419,70 +519,68 @@ fn run_impl(
                             continue;
                         }
                         if p + 1 == n {
-                            boundary_out[chan_idx(chan)].push(v);
+                            boundary_out[chan].push(v);
                         } else {
-                            queues[p + 1][chan_idx(chan)].push_back(v);
+                            // At most `capacity` words survived the last
+                            // end-of-cycle check and this is the cycle's
+                            // only send into this queue.
+                            let accepted = queues[p][chan].push(v);
+                            assert!(accepted, "interior queue sized below capacity + 1");
                         }
                     }
-                    IoField::Recv { dst, .. } => {
-                        if dir != flow.opposite() {
-                            fail!(SimError::WrongDirection { cell: p, cycle: t });
-                        }
-                        recvs.push(PendingRecv {
-                            pos: p,
-                            chan,
-                            upstream: true,
-                            dst: *dst,
-                        });
-                    }
+                    Op::Recv { chan, dst, delay } => recvs.push(PendingRecv {
+                        pos: p,
+                        chan,
+                        dst,
+                        delay,
+                    }),
+                    Op::WrongDirection => fail!(SimError::WrongDirection { cell: p, cycle: t }),
                 }
             }
         }
 
         // Phase 2: receives (after every send has committed).
-        for r in recvs {
-            debug_assert!(r.upstream);
-            let q = if r.pos == 0 {
-                &mut boundary_in[chan_idx(r.chan)]
+        for r in &recvs {
+            let word = if r.pos == 0 {
+                let word = boundary_in[r.chan].get(in_next[r.chan]).copied();
+                in_next[r.chan] += 1;
+                word
             } else {
-                &mut queues[r.pos][chan_idx(r.chan)]
+                queues[r.pos - 1][r.chan].pop()
             };
-            let Some(v) = q.pop_front() else {
+            let Some(v) = word else {
                 fail!(SimError::QueueUnderflow {
                     cell: r.pos,
-                    chan: r.chan,
+                    chan: chan_of(r.chan),
                     cycle: t,
                 });
             };
             record!(TraceEvent {
                 cycle: t,
                 cell: r.pos,
-                chan: r.chan,
+                chan: chan_of(r.chan),
                 is_recv: true,
                 value: v,
             });
-            if let Some(dst) = r.dst {
-                let local = t - cells[r.pos].start;
-                let lat = u64::from(cfg.machine.io_latency);
-                cells[r.pos].pending.push((local + lat, dst, v));
-            }
+            let cell = &mut cells[r.pos];
+            cell.defer(t - cell.start, r.delay, r.dst, v);
         }
 
-        // End of cycle: capacity check on interior queues.
-        for (p, qs) in queues.iter().enumerate().skip(1) {
-            for (ci, q) in qs.iter().enumerate() {
-                max_occ = max_occ.max(q.len());
-                if !q.is_empty() {
-                    let hw = high_water.entry(chan_of(ci)).or_insert(0);
-                    *hw = (*hw).max(q.len() as u64);
-                }
-                if q.len() > capacity as usize {
-                    fail!(SimError::QueueOverflow {
-                        cell: p,
-                        chan: chan_of(ci),
-                        cycle: t,
-                        capacity,
-                    });
+        // End of cycle: capacity check on the interior queues that can
+        // have grown, the ones a live cell feeds. A queue no fuller than
+        // the high-water mark passed this check when the mark was set.
+        for (q, pair) in queues.iter().enumerate().take(live.end).skip(live.start) {
+            for (ci, queue) in pair.iter().enumerate() {
+                if queue.len() > high_water[ci] {
+                    high_water[ci] = queue.len();
+                    if queue.len() > capacity as usize {
+                        fail!(SimError::QueueOverflow {
+                            cell: q + 1,
+                            chan: chan_of(ci),
+                            cycle: t,
+                            capacity,
+                        });
+                    }
                 }
             }
         }
@@ -509,49 +607,57 @@ fn run_impl(
         }
     }
 
-    let fp_ops = cells.iter().map(|c| c.fp_ops).sum();
     let out_streams = boundary_out
-        .iter()
+        .into_iter()
         .enumerate()
         .filter(|(_, words)| !words.is_empty())
-        .map(|(ci, words)| (chan_of(ci), words.clone()))
+        .map(|(ci, words)| (chan_of(ci), words))
         .collect();
     Ok(RunReport {
         host,
         cycles: t,
-        fp_ops,
-        max_queue_occupancy: max_occ,
-        queue_high_water: high_water,
+        fp_ops: cells.iter().map(|c| c.fp_ops).sum(),
+        max_queue_occupancy: high_water[0].max(high_water[1]),
+        queue_high_water: high_water_map(high_water),
         words_out,
         out_streams,
     })
 }
 
-/// The Adr arrivals for one cell, with the plan's address-stream faults
-/// applied: corrupt in place, delay arrivals, then drop entries (drops
-/// last, so every index refers to the original stream).
+/// The per-channel occupancy marks as reported: channels whose queues
+/// never held a word are absent.
+fn high_water_map(high_water: [usize; 2]) -> BTreeMap<Chan, u64> {
+    high_water
+        .iter()
+        .enumerate()
+        .filter(|(_, words)| **words > 0)
+        .map(|(ci, words)| (chan_of(ci), *words as u64))
+        .collect()
+}
+
+/// The Adr arrivals for the cell at `pos` when the plan's address-stream
+/// faults touch it: corrupt in place, delay arrivals, then drop entries
+/// (drops last, so every index refers to the original stream). `None`
+/// when no fault targets the cell and it reads the shared table.
 fn faulted_adr_stream(
-    emissions: &[warp_iu::Emission],
-    start: u64,
+    emissions: &[Emission],
     pos: usize,
     plan: &FaultPlan,
-) -> VecDeque<(u64, u32)> {
-    let mut adr: Vec<(u64, u32)> = emissions
-        .iter()
-        .map(|e| (e.cycle + start, e.addr))
-        .collect();
+) -> Option<Vec<Emission>> {
     let applies = |cell: &Option<usize>| cell.is_none() || *cell == Some(pos);
+    let mut adr: Option<Vec<Emission>> = None;
     let mut drops: Vec<usize> = Vec::new();
     for fault in &plan.faults {
         match fault {
             Fault::CorruptAddress { cell, index, addr } if applies(cell) => {
+                let adr = adr.get_or_insert_with(|| emissions.to_vec());
                 if let Some(slot) = adr.get_mut(*index) {
-                    slot.1 = *addr;
+                    slot.addr = *addr;
                 }
             }
             Fault::DelayAddresses { cell, cycles } if applies(cell) => {
-                for slot in &mut adr {
-                    slot.0 += cycles;
+                for slot in adr.get_or_insert_with(|| emissions.to_vec()) {
+                    slot.cycle += cycles;
                 }
             }
             Fault::DropAddress { cell, index } if applies(cell) => drops.push(*index),
@@ -560,118 +666,18 @@ fn faulted_adr_stream(
     }
     drops.sort_unstable();
     for index in drops.into_iter().rev() {
+        let adr = adr.get_or_insert_with(|| emissions.to_vec());
         if index < adr.len() {
             adr.remove(index);
         }
     }
-    adr.into()
-}
-
-fn cell_write(regs: &mut [f32], reg: Reg, value: f32) {
-    regs[reg.0 as usize] = value;
-}
-
-fn operand(regs: &[f32], op: Operand) -> f32 {
-    match op {
-        Operand::Reg(r) => regs[r.0 as usize],
-        Operand::Imm(v) => v,
-        Operand::ImmB(b) => {
-            if b {
-                1.0
-            } else {
-                0.0
-            }
-        }
-    }
-}
-
-fn alu_latency(machine: &CellMachine, op: AluOp) -> u32 {
-    match op {
-        AluOp::Div => machine.div_latency,
-        _ => machine.fp_latency,
-    }
-}
-
-fn eval_fpu(f: &FpuField, regs: &[f32]) -> f32 {
-    let v = |i: usize| operand(regs, f.srcs[i]);
-    let b = |i: usize| operand(regs, f.srcs[i]) != 0.0;
-    let bool_val = |x: bool| if x { 1.0 } else { 0.0 };
-    match f.op {
-        AluOp::Add => v(0) + v(1),
-        AluOp::Sub => v(0) - v(1),
-        AluOp::Mul => v(0) * v(1),
-        AluOp::Div => v(0) / v(1),
-        AluOp::Neg => -v(0),
-        AluOp::Cmp(c) => bool_val(apply_cmp(c, v(0), v(1))),
-        AluOp::And => bool_val(b(0) && b(1)),
-        AluOp::Or => bool_val(b(0) || b(1)),
-        AluOp::Not => bool_val(!b(0)),
-        AluOp::Select => {
-            if b(0) {
-                v(1)
-            } else {
-                v(2)
-            }
-        }
-    }
-}
-
-fn apply_cmp(c: CmpOp, l: f32, r: f32) -> bool {
-    c.apply(l, r)
-}
-
-fn resolve_addr(
-    cfg: &MachineConfig<'_>,
-    cell: &mut Cell<'_>,
-    addr: AddrSource,
-    pos: usize,
-    t: u64,
-) -> Result<usize, SimError> {
-    let a = match addr {
-        AddrSource::Literal(a) => u32::from(a),
-        AddrSource::AdrQueue => {
-            let Some(&(avail, value)) = cell.adr.front() else {
-                return Err(SimError::AddressUnderflow {
-                    cell: pos,
-                    cycle: t,
-                });
-            };
-            if avail > t {
-                return Err(SimError::AddressLate {
-                    cell: pos,
-                    cycle: t,
-                    available: avail,
-                });
-            }
-            cell.adr.pop_front();
-            value
-        }
-    };
-    let a = a as usize;
-    if a >= cfg.machine.memory_words as usize {
-        return Err(SimError::BadAddress {
-            cell: pos,
-            cycle: t,
-            addr: a,
-        });
-    }
-    Ok(a)
-}
-
-fn io_unindex(idx: usize) -> (Dir, Chan) {
-    match idx {
-        0 => (Dir::Left, Chan::X),
-        1 => (Dir::Left, Chan::Y),
-        2 => (Dir::Right, Chan::X),
-        3 => (Dir::Right, Chan::Y),
-        _ => unreachable!("four I/O ports"),
-    }
+    adr
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warp_cell::{BlockCode, CodeRegion, MicroInst};
+    use warp_cell::{BlockCode, CodeRegion, IoField, MicroInst, Operand, Reg};
 
     /// Two cells, a 2-word queue, six cycles that each receive from the
     /// left and send to the right: cell 0 runs `skew` cycles ahead, so

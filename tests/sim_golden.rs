@@ -368,7 +368,11 @@ fn build_table() -> String {
                     .collect();
                 let plain = module.run(&inputs).map_err(|e| panic!("{file}: {e}"));
                 let line = report_line(&module, plain.as_ref().unwrap());
-                writeln!(table, "run {file} pipeline={pipeline} seed={seed:#x} | {line}").unwrap();
+                writeln!(
+                    table,
+                    "run {file} pipeline={pipeline} seed={seed:#x} | {line}"
+                )
+                .unwrap();
                 if pipeline && seed == SEEDS[0] {
                     // The option-taking entry point must report the
                     // same run as the plain one.
@@ -445,7 +449,10 @@ fn build_table() -> String {
 #[test]
 fn simulator_reports_match_the_recorded_table() {
     let got = build_table();
-    let path = format!("{}/tests/golden/sim_reports.txt", env!("CARGO_MANIFEST_DIR"));
+    let path = format!(
+        "{}/tests/golden/sim_reports.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, &got).unwrap_or_else(|e| panic!("write {path}: {e}"));
         return;
