@@ -928,12 +928,16 @@ end
 
     #[test]
     fn identity_removal() {
-        let ir = lower_src(&wrap("x := y + 0.0; z := y * 1.0;"));
+        let ir = lower_src(&wrap("x := y - 0.0; z := y * 1.0;"));
         let b = &ir.blocks[BlockId(0)];
         assert_eq!(
-            b.count_live(|k| matches!(k, NodeKind::FAdd | NodeKind::FMul)),
+            b.count_live(|k| matches!(k, NodeKind::FSub | NodeKind::FMul)),
             0
         );
+        // `y + 0.0` is not an identity: it turns y = −0.0 into +0.0.
+        let ir = lower_src(&wrap("x := y + 0.0;"));
+        let b = &ir.blocks[BlockId(0)];
+        assert_eq!(b.count_live(|k| matches!(k, NodeKind::FAdd)), 1);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! | pattern            | effect                                               |
 //! |--------------------|------------------------------------------------------|
 //! | `const-fold`       | all-constant operands → constant result              |
-//! | `identity`         | `x+0`, `x·1`, `x÷1`, `¬¬x`, `select(c,t,t)`, …       |
+//! | `identity`         | `x+(−0)`, `x−0`, `x·1`, `x÷1`, `¬¬x`, `select(c,t,t)`, …; |
+//! |                    | `x±0` for either zero (reassoc-gated)                |
 //! | `mul-special`      | `x·2 → x+x`; `x·−1 → −x`, `x·0 → 0` (reassoc-gated)  |
 //! | `strength-reduce`  | `x ÷ 2ᵏ → x · 2⁻ᵏ` (bitwise exact)                   |
 //! | `commute-canon`    | canonical operand order for `+`/`·` (reassoc-gated)  |
@@ -22,7 +23,8 @@
 //! | `height-reduce`    | Huffman rebalance of `+`/`·` chains (reassoc-gated)  |
 //!
 //! Patterns that can change f32 bit patterns on special values (NaN
-//! sign/payload for `x·−1`, `x·0` on NaN/∞, any reassociation) are
+//! sign/payload for `x·−1`, `x·0` on NaN/∞, `x+0` on `−0.0`, any
+//! reassociation) are
 //! gated behind [`RewriteOptions::reassociate`], which the differential
 //! oracle turns off; everything else is bitwise exact on every input.
 //!
@@ -295,6 +297,8 @@ pub enum Folded {
 /// construction and the `const-fold`/`identity` patterns re-apply it
 /// whenever other rewrites expose new opportunities.
 pub fn fold_value(block: &Block, kind: &NodeKind, inputs: &[NodeId]) -> Option<Folded> {
+    const POS_ZERO: u32 = 0;
+    const NEG_ZERO: u32 = 1 << 31;
     let cf = |n: NodeId| match block.nodes[n].kind {
         NodeKind::ConstF(v) => Some(v),
         _ => None,
@@ -306,10 +310,13 @@ pub fn fold_value(block: &Block, kind: &NodeKind, inputs: &[NodeId]) -> Option<F
     match kind {
         NodeKind::FAdd => {
             let (a, b) = (inputs[0], inputs[1]);
+            // Only `−0.0` is an exact additive identity: `x + 0.0` turns
+            // `−0.0` into `+0.0` (a float literal pattern would match
+            // both zeros, so compare bits).
             match (cf(a), cf(b)) {
                 (Some(x), Some(y)) => Some(Folded::F(x + y)),
-                (Some(0.0), None) => Some(Folded::Use(b)),
-                (None, Some(0.0)) => Some(Folded::Use(a)),
+                (Some(z), None) if z.to_bits() == NEG_ZERO => Some(Folded::Use(b)),
+                (None, Some(z)) if z.to_bits() == NEG_ZERO => Some(Folded::Use(a)),
                 _ => None,
             }
         }
@@ -317,7 +324,7 @@ pub fn fold_value(block: &Block, kind: &NodeKind, inputs: &[NodeId]) -> Option<F
             let (a, b) = (inputs[0], inputs[1]);
             match (cf(a), cf(b)) {
                 (Some(x), Some(y)) => Some(Folded::F(x - y)),
-                (None, Some(0.0)) => Some(Folded::Use(a)),
+                (None, Some(z)) if z.to_bits() == POS_ZERO => Some(Folded::Use(a)),
                 _ => None,
             }
         }
@@ -426,10 +433,34 @@ impl Rewrite for Identity {
         if !node.kind.is_pure() {
             return None;
         }
-        match fold_value(cx.block, &node.kind, &node.inputs)? {
-            Folded::Use(m) if m != n => Some(Applied::Replace(m)),
+        let same = match fold_value(cx.block, &node.kind, &node.inputs) {
+            Some(Folded::Use(m)) => Some(m),
+            _ if cx.opts.reassociate => zero_identity(cx.block, n),
             _ => None,
-        }
+        };
+        same.filter(|m| *m != n).map(Applied::Replace)
+    }
+}
+
+/// `x + 0 → x`, `0 + x → x`, `x − 0 → x` for a zero of *either* sign.
+/// Not bitwise exact (`−0.0 + 0.0` is `+0.0`, and so is `−0.0 − −0.0`),
+/// so it rides behind the reassociate gate like `x·0 → 0`;
+/// [`fold_value`] has the exact forms.
+fn zero_identity(block: &Block, n: NodeId) -> Option<NodeId> {
+    let node = &block.nodes[n];
+    let constant = |m: NodeId| matches!(block.nodes[m].kind, NodeKind::ConstF(_));
+    // `−0.0 == 0.0`: either zero compares equal.
+    let zero = |m: NodeId| block.nodes[m].kind == NodeKind::ConstF(0.0);
+    if !matches!(node.kind, NodeKind::FAdd | NodeKind::FSub) {
+        return None;
+    }
+    let (a, b) = (node.inputs[0], node.inputs[1]);
+    if zero(b) && !constant(a) {
+        Some(a)
+    } else if node.kind == NodeKind::FAdd && zero(a) && !constant(b) {
+        Some(b)
+    } else {
+        None
     }
 }
 
@@ -1167,11 +1198,15 @@ mod tests {
         let c2 = pure(&mut b, NodeKind::ConstF(2.0), vec![]);
         let c3 = pure(&mut b, NodeKind::ConstF(3.0), vec![]);
         let sum = pure(&mut b, NodeKind::FAdd, vec![c2, c3]); // → 5.0
-        let zero = pure(&mut b, NodeKind::ConstF(0.0), vec![]);
-        let plus0 = pure(&mut b, NodeKind::FAdd, vec![x, zero]); // → x
+        let zero = pure(&mut b, NodeKind::ConstF(-0.0), vec![]);
+        let plus0 = pure(&mut b, NodeKind::FAdd, vec![x, zero]); // x + −0.0 → x
         let out = pure(&mut b, NodeKind::FMul, vec![sum, plus0]);
         store_root(&mut b, out);
-        let stats = rewrite_block(&mut b, &RewriteOptions::default());
+        let exact = RewriteOptions {
+            reassociate: false,
+            ..RewriteOptions::default()
+        };
+        let stats = rewrite_block(&mut b, &exact);
         assert_eq!(stats.hits_of("const-fold"), 1);
         assert_eq!(stats.hits_of("identity"), 1);
         let n = b.live_nodes();
@@ -1351,11 +1386,47 @@ mod tests {
     }
 
     #[test]
+    fn only_the_exact_signed_zero_identities_are_ungated() {
+        // x + 0.0, 0.0 + x and x − −0.0 turn x = −0.0 into +0.0, so the
+        // plain fold leaves them alone; identity takes them only when
+        // reassociation is allowed.
+        for (kind, zero, zero_first, exact) in [
+            (NodeKind::FAdd, -0.0f32, false, true),
+            (NodeKind::FAdd, -0.0, true, true),
+            (NodeKind::FSub, 0.0, false, true),
+            (NodeKind::FAdd, 0.0, false, false),
+            (NodeKind::FAdd, 0.0, true, false),
+            (NodeKind::FSub, -0.0, false, false),
+            (NodeKind::FSub, 0.0, true, false),
+        ] {
+            let mut b = Block::new();
+            let x = load(&mut b, 0);
+            let z = pure(&mut b, NodeKind::ConstF(zero), vec![]);
+            let inputs = if zero_first { vec![z, x] } else { vec![x, z] };
+            let folded = fold_value(&b, &kind, &inputs);
+            assert_eq!(
+                folded,
+                exact.then_some(Folded::Use(x)),
+                "{kind:?} {zero:?} {zero_first}"
+            );
+            let op = pure(&mut b, kind.clone(), inputs);
+            store_root(&mut b, op);
+            let gated = zero_first && kind == NodeKind::FSub;
+            let stats = rewrite_block(&mut b, &RewriteOptions::default());
+            assert_eq!(
+                stats.hits_of("identity"),
+                u64::from(!gated),
+                "{kind:?} {zero:?}"
+            );
+        }
+    }
+
+    #[test]
     fn fuel_bounds_applications() {
         let mut b = Block::new();
         let x = load(&mut b, 0);
-        let zero = pure(&mut b, NodeKind::ConstF(0.0), vec![]);
-        // A ladder of x+0 nodes, each feeding the next.
+        let zero = pure(&mut b, NodeKind::ConstF(-0.0), vec![]);
+        // A ladder of x + −0.0 nodes, each feeding the next.
         let mut v = x;
         for _ in 0..6 {
             v = pure(&mut b, NodeKind::FAdd, vec![v, zero]);
@@ -1389,7 +1460,9 @@ mod tests {
 
     #[test]
     fn fixpoint_cascades_across_patterns() {
-        // (x·0 + y) requires mul-special then identity to reach y.
+        // (x·0 + y) requires mul-special then identity to reach y. Both
+        // steps change bits on special values (x·0 on NaN/∞, 0.0 + y on
+        // y = −0.0), so neither fires with reassociation off.
         let mut b = Block::new();
         let x = load(&mut b, 0);
         let y = load(&mut b, 1);
@@ -1397,6 +1470,11 @@ mod tests {
         let m = pure(&mut b, NodeKind::FMul, vec![x, c0]);
         let s = pure(&mut b, NodeKind::FAdd, vec![m, y]);
         store_root(&mut b, s);
+        let exact = RewriteOptions {
+            reassociate: false,
+            ..RewriteOptions::default()
+        };
+        assert_eq!(rewrite_block(&mut b, &exact).total(), 0);
         let stats = rewrite_block(&mut b, &RewriteOptions::default());
         assert!(stats.hits_of("mul-special") >= 1);
         assert!(stats.hits_of("identity") >= 1);

@@ -9,7 +9,7 @@
 //! harness (`w2c --differential` covers generated programs) and the
 //! test the CI `differential-smoke` job runs.
 
-use warp::compiler::differential::{check_case, CaseOutcome, DiffOptions};
+use warp::compiler::differential::{check_case, BackendSel, CaseOutcome, DiffOptions};
 
 fn read(name: &str) -> String {
     let path = format!("{}/corpus/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -76,6 +76,37 @@ fn injected_corruption_is_visible_on_every_corpus_program() {
         assert!(
             matches!(outcome, CaseOutcome::Mismatch(_)),
             "{file}: corruption not detected: {outcome:?}"
+        );
+    }
+}
+
+#[test]
+fn negative_zero_plus_positive_zero_agrees_three_ways() {
+    // `w2c --differential 1000 --seed 1`, case 465, shrunk. `w / -2.0`
+    // is −0.0 (w starts at 0.0) and `acc / 2.0` folds to +0.0; their
+    // sum is +0.0. Folding `x + 0.0 → x` gave −0.0 on the simulator and
+    // the native backend where the oracle said +0.0.
+    const CASE_465: &str = "module gen (r0 out)
+float r0[1];
+cellprogram (cid : 0 : 0) begin
+function f begin
+float acc; float w;
+acc := 0.0;
+w := w / (-2.0) + acc / 2.0;
+send (R, X, w, r0[0]);
+end
+call f; end
+";
+    for pipeline in [true, false] {
+        let opts = DiffOptions {
+            pipeline,
+            backend: BackendSel::All,
+            ..DiffOptions::default()
+        };
+        let outcome = check_case(CASE_465, 10172024870146277062, &opts);
+        assert!(
+            matches!(outcome, CaseOutcome::Agree),
+            "pipeline {pipeline}: {outcome:?}"
         );
     }
 }
