@@ -19,13 +19,6 @@
 //! regress none — the scheduler's profitability gate keeps every
 //! unprofitable loop on its list schedule, so a regression here is a
 //! bug, not a tuning matter.
-//!
-//! The native half ([`run_native_bench`], behind `wbench --native`)
-//! measures the serving question instead: best-of-N single-run wall
-//! clock for the simulator vs best-of-N for the native backend on the
-//! *same* module and inputs, with a bitwise cross-check that the two
-//! executors produced identical words before any timing is trusted.
-//! Its JSON goes to `BENCH_native.json`.
 
 use crate::{audit, CompileOptions, Session, SessionCtrl};
 use warp_ir::Region;
@@ -290,261 +283,6 @@ pub fn run_bench(
     Ok(report)
 }
 
-/// One program's simulator-vs-native wall-clock measurement.
-#[derive(Clone, Debug)]
-pub struct NativeBenchRecord {
-    /// Program name (corpus file stem).
-    pub name: String,
-    /// Simulated array cycles of the measured (pipelined) build — the
-    /// work the native path skips, for context.
-    pub cycles: u64,
-    /// Best single-run simulator wall time (min over a few timed runs
-    /// after one warmup), in milliseconds.
-    pub sim_wall_ms: f64,
-    /// Best single-run native wall time (min over
-    /// [`NativeBenchRecord::native_repeats`] timed runs after one
-    /// warmup), in milliseconds.
-    pub native_wall_ms: f64,
-    /// Timed native runs the minimum was taken over. Sub-millisecond
-    /// walls jitter tens of percent on a shared machine; the minimum
-    /// is the run least disturbed by that noise, applied symmetrically
-    /// to both executors.
-    pub native_repeats: u32,
-    /// `sim_wall_ms / native_wall_ms` (`inf` if the native time rounds
-    /// to zero).
-    pub speedup: f64,
-    /// Whether the two executors produced bitwise-identical host words
-    /// and output streams. Always `true` in a passing run — the timing
-    /// of a wrong answer is not interesting.
-    pub bitwise_equal: bool,
-}
-
-/// The whole corpus, raced: `BENCH_native.json`.
-#[derive(Clone, Debug, Default)]
-pub struct NativeBenchReport {
-    /// One record per program, in input order.
-    pub programs: Vec<NativeBenchRecord>,
-}
-
-impl NativeBenchReport {
-    /// Programs where the native path is at least 10× faster than one
-    /// simulator run — the headline acceptance number.
-    pub fn speedup_10x(&self) -> usize {
-        self.programs.iter().filter(|r| r.speedup >= 10.0).count()
-    }
-
-    /// `true` when every program's native run matched the simulator
-    /// bitwise.
-    pub fn all_bitwise_equal(&self) -> bool {
-        self.programs.iter().all(|r| r.bitwise_equal)
-    }
-
-    /// Hand-rolled JSON: the `BENCH_native.json` payload.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"programs\": [\n");
-        for (i, r) in self.programs.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": {}, ", json_str(&r.name)));
-            out.push_str(&format!("\"cycles\": {}, ", r.cycles));
-            out.push_str(&format!("\"sim_wall_ms\": {:.3}, ", r.sim_wall_ms));
-            out.push_str(&format!("\"native_wall_ms\": {:.4}, ", r.native_wall_ms));
-            out.push_str(&format!("\"native_repeats\": {}, ", r.native_repeats));
-            let speedup = if r.speedup.is_finite() {
-                format!("{:.1}", r.speedup)
-            } else {
-                // JSON has no Infinity literal.
-                "null".to_owned()
-            };
-            out.push_str(&format!("\"speedup\": {speedup}, "));
-            out.push_str(&format!("\"bitwise_equal\": {}}}", r.bitwise_equal));
-            out.push_str(if i + 1 < self.programs.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"speedup_10x\": {},\n", self.speedup_10x()));
-        out.push_str(&format!(
-            "  \"all_bitwise_equal\": {}\n",
-            self.all_bitwise_equal()
-        ));
-        out.push_str("}\n");
-        out
-    }
-
-    /// A fixed-width console summary.
-    pub fn table(&self) -> String {
-        let mut out = format!(
-            "{:<14} {:>10} {:>10} {:>12} {:>9} {:>8}\n",
-            "name", "cycles", "sim ms", "native ms", "speedup", "bitwise"
-        );
-        for r in &self.programs {
-            out.push_str(&format!(
-                "{:<14} {:>10} {:>10.3} {:>12.4} {:>8.1}x {:>8}\n",
-                r.name,
-                r.cycles,
-                r.sim_wall_ms,
-                r.native_wall_ms,
-                r.speedup,
-                if r.bitwise_equal { "ok" } else { "MISMATCH" },
-            ));
-        }
-        out.push_str(&format!(
-            ">=10x speedup on {} of {} programs\n",
-            self.speedup_10x(),
-            self.programs.len(),
-        ));
-        out
-    }
-}
-
-/// `true` when the two reports carry bitwise-identical host words (for
-/// every host variable) and output streams.
-fn reports_bitwise_equal(
-    module: &crate::CompiledModule,
-    a: &warp_sim::RunReport,
-    b: &warp_sim::RunReport,
-) -> bool {
-    for (_, info) in module.ir.vars.iter() {
-        if info.kind != w2_lang::hir::VarKind::Host {
-            continue;
-        }
-        let (Ok(av), Ok(bv)) = (a.host.get(&info.name), b.host.get(&info.name)) else {
-            return false;
-        };
-        if av.len() != bv.len() || av.iter().zip(bv).any(|(x, y)| x.to_bits() != y.to_bits()) {
-            return false;
-        }
-    }
-    if a.out_streams.len() != b.out_streams.len() {
-        return false;
-    }
-    a.out_streams.iter().all(|(chan, aw)| {
-        b.out_streams.get(chan).is_some_and(|bw| {
-            aw.len() == bw.len() && aw.iter().zip(bw).all(|(x, y)| x.to_bits() == y.to_bits())
-        })
-    })
-}
-
-/// Times `f` as the minimum over `runs` individually-timed calls. The
-/// minimum is the noise-robust estimator for a wall clock: scheduler
-/// preemption, interrupts, and cold caches only ever add time. Both
-/// executors are timed with this same protocol (single runs, not
-/// batched throughput loops), so neither gets an amortization the
-/// other is denied.
-fn min_single_wall_ms<E>(runs: u32, mut f: impl FnMut() -> Result<(), E>) -> Result<f64, E> {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs.max(1) {
-        let t = std::time::Instant::now();
-        f()?;
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    Ok(best)
-}
-
-/// Races one program: compiles pipelined with reassociation off (so
-/// the bitwise cross-check is meaningful), then times the simulator
-/// and the native backend on the same seeded inputs — one untimed
-/// warmup each, then the best of N single runs ([`min_single_wall_ms`]).
-/// The native side reuses one [`warp_native::NativeRunner`] across
-/// runs, the way a long-lived serving process would; input binding is
-/// inside both timed paths.
-///
-/// # Errors
-///
-/// Returns the compile diagnostics or either executor's error, prefixed
-/// with the program name.
-pub fn bench_native_program(
-    name: &str,
-    source: &str,
-    opts: &CompileOptions,
-    seed: u64,
-    repeats: u32,
-) -> Result<NativeBenchRecord, String> {
-    let err = |stage: &str, e: String| format!("{name}: {stage}: {e}");
-    let repeats = repeats.max(1);
-    // The slow side gets fewer runs to keep the bench quick; long
-    // walls don't need noise suppression anyway.
-    let sim_runs = repeats.min(3);
-
-    let mut copts = opts.clone();
-    copts.lower.reassociate = false;
-    let module = compile_mode(source, &copts, true).map_err(|e| err("compile", e))?;
-
-    let owned = audit::seeded_inputs(&module, seed);
-    let inputs: Vec<(&str, &[f32])> = owned
-        .iter()
-        .map(|(n, d)| (n.as_str(), d.as_slice()))
-        .collect();
-
-    // One warmup run per executor keeps cold page faults out of the
-    // timed runs and supplies the report for the bitwise check.
-    let sim = module
-        .run(&inputs)
-        .map_err(|e| err("simulate", e.to_string()))?;
-    let sim_wall_ms = min_single_wall_ms(sim_runs, || {
-        module
-            .run(&inputs)
-            .map(|_| ())
-            .map_err(|e| err("simulate", e.to_string()))
-    })?;
-
-    // Build the op tables and the runner once and amortize — the
-    // serving path a long-lived daemon would take.
-    let program = module.native_program();
-    let native_opts = warp_native::NativeOptions::default();
-    let mut runner = warp_native::NativeRunner::new(&program, &native_opts)
-        .map_err(|e| err("native", e.to_string()))?;
-    let mut native_once = || -> Result<warp_sim::RunReport, String> {
-        let mut host = warp_host::HostMemory::new(&module.ir.vars);
-        for (n, d) in &inputs {
-            host.set(n, d).map_err(|e| err("bind", e.to_string()))?;
-        }
-        runner
-            .run(host, &native_opts)
-            .map_err(|e| err("native", e.to_string()))
-    };
-    let native = native_once()?;
-    let native_wall_ms = min_single_wall_ms(repeats, || native_once().map(|_| ()))?;
-
-    let speedup = if native_wall_ms > 0.0 {
-        sim_wall_ms / native_wall_ms
-    } else {
-        f64::INFINITY
-    };
-    Ok(NativeBenchRecord {
-        name: name.to_owned(),
-        cycles: sim.cycles,
-        sim_wall_ms,
-        native_wall_ms,
-        native_repeats: repeats,
-        speedup,
-        bitwise_equal: reports_bitwise_equal(&module, &sim, &native),
-    })
-}
-
-/// Races every `(name, source)` pair; fails on the first program that
-/// does not compile and run on both executors.
-///
-/// # Errors
-///
-/// Propagates the first [`bench_native_program`] failure.
-pub fn run_native_bench(
-    programs: &[(String, String)],
-    opts: &CompileOptions,
-    seed: u64,
-    repeats: u32,
-) -> Result<NativeBenchReport, String> {
-    let mut report = NativeBenchReport::default();
-    for (name, source) in programs {
-        report
-            .programs
-            .push(bench_native_program(name, source, opts, seed, repeats)?);
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,27 +345,6 @@ mod tests {
         innermost_loops(&module.ir.root, &mut loops);
         assert_eq!(r.pipelined_loops.len(), loops.len());
         assert!(r.pipelined_loops.len() >= module.cell_code.pipelined.len());
-    }
-
-    #[test]
-    fn native_bench_races_and_serializes() {
-        let report = run_native_bench(
-            &[("polynomial".to_owned(), corpus::polynomial_source(4, 64))],
-            &CompileOptions::default(),
-            1,
-            3,
-        )
-        .expect("benches");
-        assert_eq!(report.programs.len(), 1);
-        let r = &report.programs[0];
-        assert!(r.bitwise_equal, "executors must agree before timing");
-        assert!(r.cycles > 0);
-        assert!(r.sim_wall_ms > 0.0);
-        assert!(r.speedup > 0.0);
-        let json = report.to_json();
-        assert!(json.contains("\"native_wall_ms\""), "{json}");
-        assert!(json.contains("\"all_bitwise_equal\": true"), "{json}");
-        assert!(report.table().contains("speedup"));
     }
 
     #[test]

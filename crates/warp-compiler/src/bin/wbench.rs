@@ -2,38 +2,25 @@
 //!
 //! ```text
 //! wbench [--corpus-dir DIR] [--out FILE] [--seed S]
-//! wbench --native [--corpus-dir DIR] [--out FILE] [--seed S] [--repeats N]
 //! ```
 //!
-//! Default mode compiles every `*.w2` program under `--corpus-dir`
+//! Compiles every `*.w2` program under `--corpus-dir`
 //! (default `corpus/`) twice — modulo-scheduled and `--no-pipeline`
 //! baseline — simulates both builds on seeded inputs, prints the
 //! comparison table, and writes the machine-readable report to `--out`
 //! (default `BENCH_compile.json`).
 //!
-//! `--native` races the executors instead: best-of-N single-run wall
-//! time for the simulator vs best-of-N for the native backend, after
-//! one warmup run apiece (same module, same seeded inputs, bitwise
-//! cross-checked before any timing is trusted), writing
-//! `BENCH_native.json` by default. Best-of-N is the noise-robust
-//! statistic here: sub-millisecond walls jitter tens of percent on a
-//! shared machine, and the minimum is the run least disturbed by it.
-//!
-//! Exit code is non-zero if any program fails to compile or run; in
-//! default mode also if any program's simulated cycles regress under
-//! pipelining or fewer than three improve, and in `--native` mode if
-//! any program's executors disagree bitwise or fewer than five reach a
-//! 10× native speedup — the acceptance bars the CI `bench-smoke` and
-//! `native-differential` jobs enforce.
+//! Exit code is non-zero if any program fails to compile or run, if any
+//! program's simulated cycles regress under pipelining, or if fewer than
+//! three improve — the acceptance bar the CI `bench-smoke` job enforces.
+//! (Simulator-vs-native speed is the benchmark's `exec_sim` /
+//! `exec_native` pair: `bash benchmark/run.sh --workload exec_sim`.)
 
 use std::process::ExitCode;
 use warp_compiler::{bench, CompileOptions};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: wbench [--corpus-dir DIR] [--out FILE] [--seed S]\n\
-         \x20      wbench --native [--corpus-dir DIR] [--out FILE] [--seed S] [--repeats N]"
-    );
+    eprintln!("usage: wbench [--corpus-dir DIR] [--out FILE] [--seed S]");
     std::process::exit(2)
 }
 
@@ -41,16 +28,10 @@ fn usage() -> ! {
 /// many corpus programs (and regress none).
 const MIN_IMPROVED: usize = 3;
 
-/// The native-mode acceptance floor: at least this many corpus
-/// programs must run ≥ 10× faster natively than one simulator run.
-const MIN_NATIVE_10X: usize = 5;
-
 fn main() -> ExitCode {
     let mut corpus_dir = std::path::PathBuf::from("corpus");
     let mut out_path: Option<std::path::PathBuf> = None;
     let mut seed = 1u64;
-    let mut native = false;
-    let mut repeats = 10u32;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -60,21 +41,10 @@ fn main() -> ExitCode {
                 let s = args.next().unwrap_or_else(|| usage());
                 seed = s.parse().unwrap_or_else(|_| usage());
             }
-            "--native" => native = true,
-            "--repeats" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                repeats = n.parse().unwrap_or_else(|_| usage());
-            }
             _ => usage(),
         }
     }
-    let out_path = out_path.unwrap_or_else(|| {
-        std::path::PathBuf::from(if native {
-            "BENCH_native.json"
-        } else {
-            "BENCH_compile.json"
-        })
-    });
+    let out_path = out_path.unwrap_or_else(|| "BENCH_compile.json".into());
 
     let mut programs: Vec<(String, String)> = Vec::new();
     let entries = match std::fs::read_dir(&corpus_dir) {
@@ -104,36 +74,6 @@ fn main() -> ExitCode {
     if programs.is_empty() {
         eprintln!("no .w2 programs under `{}`", corpus_dir.display());
         return ExitCode::FAILURE;
-    }
-
-    if native {
-        let report =
-            match bench::run_native_bench(&programs, &CompileOptions::default(), seed, repeats) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("native bench failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-        print!("{}", report.table());
-        if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-            eprintln!("cannot write `{}`: {e}", out_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", out_path.display());
-
-        if !report.all_bitwise_equal() {
-            eprintln!("FAIL: native and simulator disagree bitwise on some program");
-            return ExitCode::FAILURE;
-        }
-        if report.speedup_10x() < MIN_NATIVE_10X {
-            eprintln!(
-                "FAIL: only {} program(s) reached a 10x native speedup (need {MIN_NATIVE_10X})",
-                report.speedup_10x()
-            );
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
     }
 
     let report = match bench::run_bench(&programs, &CompileOptions::default(), seed) {

@@ -255,16 +255,18 @@ pub struct HostMemory {
 impl HostMemory {
     /// Creates zero-initialized storage for every host variable.
     pub fn new(vars: &IdVec<VarId, VarInfo>) -> HostMemory {
-        let mut mem = HostMemory::default();
-        for (id, info) in vars.iter() {
-            let host = info.kind == VarKind::Host;
-            mem.arrays
-                .push(host.then(|| vec![0.0; info.size() as usize]));
-            if host {
-                mem.by_name.insert(info.name.clone(), id);
-            }
+        let host = |info: &VarInfo| info.kind == VarKind::Host;
+        HostMemory {
+            arrays: vars
+                .iter()
+                .map(|(_, info)| host(info).then(|| vec![0.0; info.size() as usize]))
+                .collect(),
+            by_name: vars
+                .iter()
+                .filter(|(_, info)| host(info))
+                .map(|(id, info)| (info.name.clone(), id))
+                .collect(),
         }
-        mem
     }
 
     fn array(&self, var: VarId) -> Option<&Vec<f32>> {

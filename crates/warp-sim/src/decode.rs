@@ -144,22 +144,18 @@ impl Program {
             machine,
             flow,
             sink: machine.registers,
-            consts: Vec::new(),
             program: Program {
                 ops: Vec::new(),
                 word_ops: vec![0],
                 seq: Vec::new(),
                 depth: 0,
-                regs: Vec::new(),
+                regs: vec![0.0; machine.registers as usize + 1],
                 max_delay: 1,
                 sends: [0, 0],
             },
         };
         d.regions(&code.regions, 1, 0);
         d.program.seq.push(Seq::Halt);
-        let mut regs = vec![0.0; machine.registers as usize + 1];
-        regs.extend(d.consts.iter().map(|bits| f32::from_bits(*bits)));
-        d.program.regs = regs;
         d.program
     }
 
@@ -172,10 +168,9 @@ impl Program {
 struct Decoder<'a> {
     machine: &'a CellMachine,
     flow: Dir,
-    /// Register index that swallows discarded results.
+    /// Register index that swallows discarded results; the constants
+    /// (distinct bit patterns) follow it in `program.regs`.
     sink: u32,
-    /// Distinct immediates (as bits), in register order after the sink.
-    consts: Vec<u32>,
     program: Program,
 }
 
@@ -243,9 +238,8 @@ impl Decoder<'_> {
             };
             self.program.ops.push(op);
         }
-        for (io_idx, field) in inst.io.iter().enumerate() {
+        for (field, (dir, chan)) in inst.io.iter().zip(PORTS) {
             let Some(field) = field else { continue };
-            let (dir, chan) = io_unindex(io_idx);
             let chan = chan_idx(chan);
             let op = match field {
                 IoField::Send { src, .. } if dir == self.flow => {
@@ -327,27 +321,24 @@ impl Decoder<'_> {
             Operand::Imm(v) => v.to_bits(),
             Operand::ImmB(b) => f32::from(u8::from(b)).to_bits(),
         };
-        let k = self
-            .consts
-            .iter()
-            .position(|c| *c == bits)
-            .unwrap_or_else(|| {
-                self.consts.push(bits);
-                self.consts.len() - 1
-            });
-        self.sink + 1 + k as u32
+        let regs = &mut self.program.regs;
+        let first = self.sink as usize + 1;
+        let at = regs[first..].iter().position(|c| c.to_bits() == bits);
+        let k = at.unwrap_or_else(|| {
+            regs.push(f32::from_bits(bits));
+            regs.len() - first - 1
+        });
+        (first + k) as u32
     }
 }
 
-fn io_unindex(idx: usize) -> (Dir, Chan) {
-    match idx {
-        0 => (Dir::Left, Chan::X),
-        1 => (Dir::Left, Chan::Y),
-        2 => (Dir::Right, Chan::X),
-        3 => (Dir::Right, Chan::Y),
-        _ => unreachable!("four I/O ports"),
-    }
-}
+/// The I/O ports in `MicroInst::io` order (see `warp_cell::io_index`).
+const PORTS: [(Dir, Chan); 4] = [
+    (Dir::Left, Chan::X),
+    (Dir::Left, Chan::Y),
+    (Dir::Right, Chan::X),
+    (Dir::Right, Chan::Y),
+];
 
 /// A cell's microprogram sequencer: yields the word to issue each
 /// cycle, driving counted loops the way the cell's sequencer does

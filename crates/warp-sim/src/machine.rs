@@ -673,84 +673,3 @@ fn faulted_adr_stream(
     }
     adr
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use warp_cell::{BlockCode, CodeRegion, IoField, MicroInst, Operand, Reg};
-
-    /// Two cells, a 2-word queue, six cycles that each receive from the
-    /// left and send to the right: cell 0 runs `skew` cycles ahead, so
-    /// the interior queue holds `skew` words when cell 1 starts.
-    fn send_and_receive_every_cycle(skew: i64) -> Result<RunReport, SimError> {
-        let mut inst = MicroInst::default();
-        inst.io[0] = Some(IoField::Recv {
-            dst: Some(Reg(0)),
-            ext: None,
-        });
-        inst.io[2] = Some(IoField::Send {
-            src: Operand::Imm(1.0),
-            ext: None,
-        });
-        let code = CellCode {
-            name: "synthetic".into(),
-            pipelined: vec![],
-            regions: vec![CodeRegion::Block(BlockCode {
-                insts: vec![inst; 6],
-                io_events: vec![],
-                adr_deadlines: vec![],
-                source: None,
-            })],
-            regs_used: 1,
-            scratch_words: 0,
-        };
-        let host_program = HostProgram {
-            inputs: [(Chan::X, vec![HostWordSource::Lit(2.0); 6])]
-                .into_iter()
-                .collect(),
-            outputs: [(Chan::X, vec![None; 6])].into_iter().collect(),
-        };
-        let machine = CellMachine {
-            queue_capacity: 2,
-            ..CellMachine::default()
-        };
-        run(
-            &MachineConfig {
-                cell_code: &code,
-                iu: &IuProgram::default(),
-                host_program: &host_program,
-                machine: &machine,
-                n_cells: 2,
-                skew,
-                flow: Dir::Right,
-            },
-            HostMemory::default(),
-        )
-    }
-
-    #[test]
-    fn full_queue_with_same_cycle_send_and_receive_is_not_overflow() {
-        // From cycle 2 on the queue holds exactly `capacity` words at
-        // the start of a cycle, gains one and loses one (Figure 6-3):
-        // overflow is judged at the end of the cycle, where it is full
-        // but not over.
-        let report = send_and_receive_every_cycle(2).expect("capacity is not exceeded");
-        assert_eq!(report.max_queue_occupancy, 2);
-        assert_eq!(report.queue_high_water[&Chan::X], 2);
-        assert_eq!(report.words_out, 6);
-    }
-
-    #[test]
-    fn one_word_over_capacity_at_end_of_cycle_is_overflow() {
-        let err = send_and_receive_every_cycle(3).expect_err("three words in a 2-word queue");
-        assert_eq!(
-            err,
-            SimError::QueueOverflow {
-                cell: 1,
-                chan: Chan::X,
-                cycle: 2,
-                capacity: 2,
-            }
-        );
-    }
-}

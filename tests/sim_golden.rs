@@ -18,15 +18,18 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
+use warp::cell::{BlockCode, CellCode, CellMachine, CodeRegion, IoField, MicroInst, Operand, Reg};
 use warp::common::hash::StableHasher;
 use warp::common::{CancelToken, ManualClock};
 use warp::compiler::audit::seeded_inputs;
 use warp::compiler::{CompileOptions, CompiledModule, Session, SessionCtrl};
-use warp::host::HostMemory;
+use warp::host::{HostMemory, HostProgram, HostWordSource};
+use warp::iu::IuProgram;
 use warp::sim::{
-    run_traced, Fault, FaultPlan, FaultReport, MachineConfig, RunReport, SimOptions, TraceEvent,
+    run_traced, Fault, FaultPlan, FaultReport, MachineConfig, RunReport, SimError, SimOptions,
+    TraceEvent,
 };
-use warp::w2::ast::Chan;
+use warp::w2::ast::{Chan, Dir};
 use warp::w2::VarKind;
 
 const CORPUS: [&str; 7] = [
@@ -142,12 +145,16 @@ fn machine_config(module: &CompiledModule) -> MachineConfig<'_> {
     }
 }
 
-fn run_with(module: &CompiledModule, seed: u64, opts: &SimOptions) -> String {
-    let owned = seeded_inputs(module, seed);
-    let inputs: Vec<(&str, &[f32])> = owned
+fn slices(owned: &[(String, Vec<f32>)]) -> Vec<(&str, &[f32])> {
+    owned
         .iter()
         .map(|(n, d)| (n.as_str(), d.as_slice()))
-        .collect();
+        .collect()
+}
+
+fn run_with(module: &CompiledModule, seed: u64, opts: &SimOptions) -> String {
+    let owned = seeded_inputs(module, seed);
+    let inputs = slices(&owned);
     outcome_line(
         module,
         &module.run_audited(module.n_cells, module.skew.min_skew, &inputs, opts),
@@ -362,12 +369,10 @@ fn build_table() -> String {
             let module = compile(file, pipeline);
             for seed in SEEDS {
                 let owned = seeded_inputs(&module, seed);
-                let inputs: Vec<(&str, &[f32])> = owned
-                    .iter()
-                    .map(|(n, d)| (n.as_str(), d.as_slice()))
-                    .collect();
-                let plain = module.run(&inputs).map_err(|e| panic!("{file}: {e}"));
-                let line = report_line(&module, plain.as_ref().unwrap());
+                let report = module
+                    .run(&slices(&owned))
+                    .unwrap_or_else(|e| panic!("{file}: {e}"));
+                let line = report_line(&module, &report);
                 writeln!(
                     table,
                     "run {file} pipeline={pipeline} seed={seed:#x} | {line}"
@@ -465,5 +470,80 @@ fn simulator_reports_match_the_recorded_table() {
         got.lines().count(),
         want.lines().count(),
         "sim_reports.txt line count"
+    );
+}
+
+/// Two cells, a 2-word queue, six cycles that each receive from the
+/// left and send to the right: cell 0 runs `skew` cycles ahead, so
+/// the interior queue holds `skew` words when cell 1 starts.
+fn send_and_receive_every_cycle(skew: i64) -> Result<RunReport, SimError> {
+    let mut inst = MicroInst::default();
+    inst.io[0] = Some(IoField::Recv {
+        dst: Some(Reg(0)),
+        ext: None,
+    });
+    inst.io[2] = Some(IoField::Send {
+        src: Operand::Imm(1.0),
+        ext: None,
+    });
+    let code = CellCode {
+        name: "synthetic".into(),
+        pipelined: vec![],
+        regions: vec![CodeRegion::Block(BlockCode {
+            insts: vec![inst; 6],
+            io_events: vec![],
+            adr_deadlines: vec![],
+            source: None,
+        })],
+        regs_used: 1,
+        scratch_words: 0,
+    };
+    let host_program = HostProgram {
+        inputs: [(Chan::X, vec![HostWordSource::Lit(2.0); 6])]
+            .into_iter()
+            .collect(),
+        outputs: [(Chan::X, vec![None; 6])].into_iter().collect(),
+    };
+    let machine = CellMachine {
+        queue_capacity: 2,
+        ..CellMachine::default()
+    };
+    warp::sim::run(
+        &MachineConfig {
+            cell_code: &code,
+            iu: &IuProgram::default(),
+            host_program: &host_program,
+            machine: &machine,
+            n_cells: 2,
+            skew,
+            flow: Dir::Right,
+        },
+        HostMemory::default(),
+    )
+}
+
+#[test]
+fn full_queue_with_same_cycle_send_and_receive_is_not_overflow() {
+    // From cycle 2 on the queue holds exactly `capacity` words at
+    // the start of a cycle, gains one and loses one (Figure 6-3):
+    // overflow is judged at the end of the cycle, where it is full
+    // but not over.
+    let report = send_and_receive_every_cycle(2).expect("capacity is not exceeded");
+    assert_eq!(report.max_queue_occupancy, 2);
+    assert_eq!(report.queue_high_water[&Chan::X], 2);
+    assert_eq!(report.words_out, 6);
+}
+
+#[test]
+fn one_word_over_capacity_at_end_of_cycle_is_overflow() {
+    let err = send_and_receive_every_cycle(3).expect_err("three words in a 2-word queue");
+    assert_eq!(
+        err,
+        SimError::QueueOverflow {
+            cell: 1,
+            chan: Chan::X,
+            cycle: 2,
+            capacity: 2,
+        }
     );
 }
