@@ -1,12 +1,13 @@
 //! Differential fuzzing: random W2 programs are compiled, simulated on
 //! the array, and compared bit-for-bit against the independent HIR
-//! oracle interpreter ([`warp::compiler::oracle`]). The oracle shares no
+//! oracle interpreter ([`warp::oracle`]). The oracle shares no
 //! code with the scheduler, register allocator, IU, or simulator, so
 //! agreement exercises the whole back end.
 
 use proptest::prelude::*;
-use warp::compiler::{compile, oracle, CompileOptions};
+use warp::compiler::{compile, CompileOptions};
 use warp::host::HostMemory;
+use warp::oracle;
 use warp::w2::parse_and_check;
 
 /// A randomly generated expression over the cell's float scalars.

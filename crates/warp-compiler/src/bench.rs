@@ -20,6 +20,7 @@
 //! unprofitable loop on its list schedule, so a regression here is a
 //! bug, not a tuning matter.
 
+use crate::report::json_str;
 use crate::{audit, CompileOptions, Session, SessionCtrl};
 use warp_ir::Region;
 
@@ -150,22 +151,6 @@ impl BenchReport {
         ));
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Innermost loops of the region tree in region order — the loops the
@@ -345,10 +330,5 @@ mod tests {
         innermost_loops(&module.ir.root, &mut loops);
         assert_eq!(r.pipelined_loops.len(), loops.len());
         assert!(r.pipelined_loops.len() >= module.cell_code.pipelined.len());
-    }
-
-    #[test]
-    fn json_escapes_are_sound() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -763,7 +763,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            match warp_compiler::oracle::interpret(&hir, &host) {
+            match warp_oracle::interpret(&hir, &host) {
                 Ok(want) => {
                     let sim = match module.run_with(n_cells, module.skew.min_skew, &inputs) {
                         Ok(r) => r,

@@ -17,8 +17,9 @@
 //! `.tmp` crash leftovers cleaned. `--store-bytes` caps the disk
 //! tier (LRU eviction; 0 = unbounded).
 //!
-//! The daemon is built on the always-on concurrent executor of
-//! `warp-service` fronted by the content-addressed compile cache:
+//! The daemon is built on the worker pool of `warp-service` (the same
+//! job engine batch compiles use, left running) fronted by the
+//! content-addressed compile cache:
 //! workers compile the moment a job is admitted, `submit` returns a
 //! job id immediately, and `run` waits for (and collects) the calling
 //! client's jobs. Admission control, per-job deadlines and pipeline

@@ -1,6 +1,6 @@
 //! The kill/restart recovery soak for the persistent artifact store.
 //!
-//! Where `soak` proves the *concurrent executor* under chaos, this
+//! Where `soak` proves the *worker pool* under chaos, this
 //! module proves the *durability tier*: a store that is killed at a
 //! seeded crash-point — mid-write, mid-rename, even mid-recovery —
 //! and restarted, over and over, while background disk faults (torn
@@ -43,6 +43,7 @@ use warp_common::vfs::{FaultCounts, FaultProfile, FaultVfs};
 use warp_common::{ManualClock, MemVfs, SplitMix64, Vfs};
 
 use crate::cache::{cache_key, CacheConfig, CompileCache};
+use crate::report::json_str_array;
 use crate::soak::{program_universe, zipf};
 use crate::store::{
     canonical_artifact_bytes, DiskStore, StoreConfig, StoreStats, TieredCache, TieredOutcome,
@@ -236,24 +237,10 @@ impl CrashSoakReport {
             self.warm_mean_us
         ));
         out.push_str(&format!("  \"ttl_expired\": {},\n", self.ttl_expired));
-        out.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            for c in v.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        out.push_str("]\n}\n");
+        out.push_str(&format!(
+            "  \"violations\": {}\n}}\n",
+            json_str_array(&self.violations)
+        ));
         out
     }
 }

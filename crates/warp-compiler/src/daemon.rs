@@ -1,9 +1,9 @@
-//! The always-on compile daemon: the concurrent counterpart of
-//! [`CompileService`](crate::service::CompileService).
+//! The always-on compile daemon: one long-lived [`WorkerPool`] behind
+//! a compile cache.
 //!
-//! Where `CompileService` is a *batch* engine — clients submit, then
-//! an explicit `run` drains the queue — a [`CompileDaemon`] keeps a
-//! [`WorkerPool`] hot: `submit` returns a job id immediately, workers
+//! Where a batch ([`crate::service::compile_batch_named`]) builds a
+//! pool, submits, waits, and shuts it down, a [`CompileDaemon`] keeps
+//! its pool hot: `submit` returns a job id immediately, workers
 //! compile as soon as capacity allows, and clients collect their own
 //! results with [`CompileDaemon::wait`]. Every compile goes through
 //! the content-addressed [`CompileCache`], so repeated requests for
@@ -13,11 +13,13 @@
 //!
 //! The daemon inherits the pool's robustness contract: bounded queue
 //! with load shedding and retry-after hints, per-job deadlines and
-//! pipeline budgets via [`SessionCtrl`], panic isolation, per-name
-//! FIFO dispatch, and a per-name circuit breaker. A cached *negative*
-//! result still feeds the breaker — a program that keeps being
-//! resubmitted after a deterministic rejection is quarantined without
-//! ever stampeding the pool with recompiles.
+//! pipeline budgets via [`SessionCtrl`](crate::SessionCtrl), panic
+//! isolation, per-name FIFO dispatch, and a per-name circuit breaker (a
+//! client that abandons its job does not count against the program —
+//! the pool's one breaker rule). A cached *negative* result still
+//! feeds the breaker — a program that keeps being resubmitted after a
+//! deterministic rejection is quarantined without ever stampeding the
+//! pool with recompiles.
 //!
 //! For chaos testing, [`CompileDaemon::with_chaos_panic_marker`]
 //! injects a panic into any job whose name contains the marker —
@@ -30,26 +32,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use warp_common::{Clock, Diagnostic, DiagnosticBag, RealVfs, SystemClock, Vfs, VfsError};
+use warp_common::{Clock, RealVfs, SystemClock, Vfs, VfsError};
 use warp_service::{
-    Admission, FailureKind, JobFailure, JobReport, JobState, JobSuccess, PoolConfig, PoolStats,
-    ShutdownMode, WorkerPool,
+    Admission, JobFailure, JobReport, JobState, PoolConfig, PoolStats, ShutdownMode, WorkerPool,
 };
 
 use crate::cache::{cache_key, CacheConfig, CacheStats, CompileCache};
 use crate::isolate::{self, IsolateRequest, IsolateVerdict, VALIDATE_SEED};
-use crate::service::{classify_failure, BatchReport, ServiceConfig};
+use crate::service::{global_error, job_result, session_ctrl, ServiceConfig};
 use crate::store::{ClearReport, DiskStore, StoreConfig, StoreStats, TieredCache};
 use crate::{
     audit, CompileFailure, CompileOptions, CompiledModule, ExecBackend, NativeRunError, Session,
-    SessionCtrl,
 };
 
-/// Configuration of a [`CompileDaemon`]: the batch service's knobs
-/// (executor + pipeline budgets + worker count) plus the cache's.
+/// Configuration of a [`CompileDaemon`]: the compile service's knobs
+/// (job engine + pipeline budgets + worker count) plus the cache's.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DaemonConfig {
-    /// Executor, pipeline-budget, and worker-count knobs.
+    /// Job-engine, pipeline-budget, and worker-count knobs.
     pub service: ServiceConfig,
     /// Compile-cache knobs (memory tier).
     pub cache: CacheConfig,
@@ -140,9 +140,7 @@ impl ChaosSpin {
 /// [`CompileFailure`] so it flows through the existing report
 /// taxonomy.
 fn synthetic_failure(message: String) -> CompileFailure {
-    let mut bag = DiagnosticBag::new();
-    bag.push(Diagnostic::error_global(message));
-    CompileFailure::Diagnostics(bag)
+    CompileFailure::Diagnostics(global_error(message))
 }
 
 /// The always-on concurrent compile service. See the module docs.
@@ -339,8 +337,8 @@ impl CompileDaemon {
     }
 
     /// As [`CompileDaemon::submit`], with the serving backend recorded
-    /// on the job's [`SessionCtrl`] — and therefore in its cache key,
-    /// so sim- and native-serving artifacts never alias
+    /// on the job's [`SessionCtrl`](crate::SessionCtrl) — and therefore
+    /// in its cache key, so sim- and native-serving artifacts never alias
     /// (`w2cd`'s `submit NAME FILE.w2 [sim|native]`).
     pub fn submit_with_backend(
         &self,
@@ -356,10 +354,7 @@ impl CompileDaemon {
         let chaos_spin = self.chaos_spin.clone();
         let chaos_native = self.chaos_native_marker.clone();
         let native_gate = self.native_gate.clone();
-        let breaker_threshold = self.config.service.exec.breaker_threshold;
-        let skew_max_events = self.config.service.skew_max_events;
-        let max_cell_cycles = self.config.service.max_cell_cycles;
-        let max_source_bytes = self.config.service.max_source_bytes;
+        let service = self.config.service.clone();
         // Escalation ladder: a name that has already wedged a worker
         // never gets a second chance in-thread — its retry is probed
         // in a SIGKILLable child first.
@@ -380,9 +375,9 @@ impl CompileDaemon {
                     name: ctx.name.clone(),
                     source: source.clone(),
                     native: backend == ExecBackend::Native,
-                    skew_max_events,
-                    max_cell_cycles,
-                    max_source_bytes,
+                    skew_max_events: service.skew_max_events,
+                    max_cell_cycles: service.max_cell_cycles,
+                    max_source_bytes: service.max_source_bytes,
                     chaos_spin: chaos_spin
                         .as_ref()
                         .is_some_and(|s| s.spins_persistently(&ctx.name)),
@@ -394,25 +389,19 @@ impl CompileDaemon {
                     // the cache and the normal failure taxonomy apply.
                     Ok(IsolateVerdict::Served { .. }) | Ok(IsolateVerdict::Failed { .. }) => {}
                     Ok(IsolateVerdict::Panicked { what }) => {
-                        return Err(JobFailure {
-                            kind: FailureKind::Permanent,
-                            error: synthetic_failure(format!(
-                                "isolated probe of previously-wedged `{}` panicked: {what}",
-                                ctx.name
-                            )),
-                        })
+                        return Err(JobFailure::permanent(synthetic_failure(format!(
+                            "isolated probe of previously-wedged `{}` panicked: {what}",
+                            ctx.name
+                        ))))
                     }
                     // Death, hang-and-kill, garbled output: the last
                     // rung — fail permanently so the breaker
                     // quarantines the name.
                     Err(e) => {
-                        return Err(JobFailure {
-                            kind: FailureKind::Permanent,
-                            error: synthetic_failure(format!(
-                                "hard-isolated retry of previously-wedged `{}` failed: {e}",
-                                ctx.name
-                            )),
-                        })
+                        return Err(JobFailure::permanent(synthetic_failure(format!(
+                            "hard-isolated retry of previously-wedged `{}` failed: {e}",
+                            ctx.name
+                        ))))
                     }
                 }
             } else if let Some(spin) = &chaos_spin {
@@ -424,45 +413,24 @@ impl CompileDaemon {
                     }
                 }
             }
-            let ctrl = SessionCtrl {
-                cancel: ctx.cancel.clone(),
-                skew_max_events,
-                max_cell_cycles,
-                max_source_bytes,
-                backend,
-                ..SessionCtrl::default()
-            };
+            let ctrl = session_ctrl(&service, &ctx.cancel, backend);
             let key = cache_key(&source, &opts, &ctrl);
             let (result, _provenance) = cache.get_or_compile(key, || {
                 Session::new(opts.clone())
                     .with_ctrl(ctrl.clone())
                     .try_compile(&source)
             });
-            match result {
-                Ok(module) => {
-                    let mut degraded = module.skew.degraded;
-                    if backend == ExecBackend::Native {
-                        match serve_native(
-                            &module,
-                            ctx,
-                            chaos_native_hit,
-                            &native_gate,
-                            breaker_threshold,
-                        ) {
-                            Ok(fell_back) => degraded |= fell_back,
-                            Err(failure) => return Err(failure),
-                        }
-                    }
-                    Ok(JobSuccess {
-                        value: module,
-                        degraded,
-                    })
-                }
-                Err(failure) => Err(JobFailure {
-                    kind: classify_failure(&failure),
-                    error: failure,
-                }),
+            let mut success = job_result(result)?;
+            if backend == ExecBackend::Native {
+                success.degraded |= serve_native(
+                    &success.value,
+                    ctx,
+                    chaos_native_hit,
+                    &native_gate,
+                    service.exec.breaker_threshold,
+                )?;
             }
+            Ok(success)
         })
     }
 
@@ -631,12 +599,9 @@ fn serve_native(
                 gate.lock().fallbacks += 1;
                 Ok(true)
             }
-            Err(sim) => Err(JobFailure {
-                kind: FailureKind::Permanent,
-                error: synthetic_failure(format!(
-                    "native breaker open and sim fallback failed ({sim})"
-                )),
-            }),
+            Err(sim) => Err(JobFailure::permanent(synthetic_failure(format!(
+                "native breaker open and sim fallback failed ({sim})"
+            )))),
         };
     }
     gate.lock().attempts += 1;
@@ -653,10 +618,9 @@ fn serve_native(
             // timeout, not the backend's fault: no breaker feed, no
             // fallback.
             Err(NativeRunError::Native(warp_native::NativeError::Interrupted(reason))) => {
-                return Err(JobFailure {
-                    kind: FailureKind::Timeout,
-                    error: synthetic_failure(format!("native validation interrupted: {reason}")),
-                })
+                return Err(JobFailure::timeout(synthetic_failure(format!(
+                    "native validation interrupted: {reason}"
+                ))))
             }
             Err(e) => Some(e.to_string()),
         }
@@ -677,65 +641,18 @@ fn serve_native(
                     gate.lock().fallbacks += 1;
                     Ok(true)
                 }
-                Err(sim) => Err(JobFailure {
-                    kind: FailureKind::Permanent,
-                    error: synthetic_failure(format!(
-                        "native serving path failed ({native}); sim fallback too ({sim})"
-                    )),
-                }),
+                Err(sim) => Err(JobFailure::permanent(synthetic_failure(format!(
+                    "native serving path failed ({native}); sim fallback too ({sim})"
+                )))),
             }
         }
     }
 }
 
-/// Repackages daemon reports as a batch [`BatchReport`] so the daemon
-/// front-ends reuse the existing summary table and health verdict.
-/// Modules are deep-cloned out of their cache `Arc`s — fine for
-/// operator-facing summaries, wrong for a hot serving path.
-pub fn batch_report(reports: Vec<DaemonReport>, quarantined: Vec<String>) -> BatchReport {
-    use warp_service::JobOutcome;
-    let jobs = reports
-        .into_iter()
-        .map(|r| JobReport {
-            id: r.id,
-            name: r.name,
-            outcome: match r.outcome {
-                JobOutcome::Success(s) => JobOutcome::Success(JobSuccess {
-                    value: (*s.value).clone(),
-                    degraded: s.degraded,
-                }),
-                JobOutcome::Failed {
-                    kind,
-                    error,
-                    attempts,
-                } => JobOutcome::Failed {
-                    kind,
-                    error,
-                    attempts,
-                },
-                JobOutcome::TimedOut { reason, attempts } => {
-                    JobOutcome::TimedOut { reason, attempts }
-                }
-                JobOutcome::Panicked { what, attempts } => JobOutcome::Panicked { what, attempts },
-                JobOutcome::Quarantined {
-                    consecutive_failures,
-                } => JobOutcome::Quarantined {
-                    consecutive_failures,
-                },
-                JobOutcome::Wedged { stalled_for_ticks } => {
-                    JobOutcome::Wedged { stalled_for_ticks }
-                }
-            },
-            wall_ticks: r.wall_ticks,
-        })
-        .collect();
-    BatchReport { jobs, quarantined }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus;
+    use crate::{corpus, BatchReport};
     use warp_common::ManualClock;
     use warp_service::{ExecutorConfig, JobOutcome};
 
@@ -916,14 +833,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_report_preserves_counts_and_summary_shape() {
+    fn daemon_reports_feed_the_batch_summary_without_a_copy() {
         let d = daemon(2, ExecutorConfig::default());
         let ids: Vec<usize> = corpus::TABLE_7_1
             .iter()
             .map(|(name, src)| d.submit(*name, *src).id().expect("accepted"))
             .collect();
         let reports = d.wait(&ids);
-        let batch = batch_report(reports, d.quarantined_names());
+        let batch = BatchReport {
+            jobs: reports,
+            quarantined: d.quarantined_names(),
+        };
         assert_eq!(batch.succeeded(), 5);
         assert!(batch.is_healthy());
         assert!(batch

@@ -53,17 +53,19 @@ pub mod differential;
 pub mod fuzz;
 pub mod health;
 pub mod isolate;
-pub mod oracle;
+#[cfg(test)]
+mod oracle;
 pub mod passes;
 pub mod protocol;
 pub mod reference;
+mod report;
 pub mod service;
 mod session;
 pub mod soak;
 pub mod store;
 pub mod supervise;
 
-pub use service::{BatchReport, CompileService, ServiceConfig};
+pub use service::{BatchReport, ServiceConfig};
 pub use session::{compile_many, Session};
 
 use std::time::Duration;

@@ -33,8 +33,8 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 
-use crate::daemon::{batch_report, CompileDaemon};
-use crate::{corpus, health, ExecBackend};
+use crate::daemon::CompileDaemon;
+use crate::{corpus, health, BatchReport, ExecBackend};
 use warp_service::Admission;
 
 /// Hard cap on one protocol line. Far beyond any legitimate command
@@ -221,8 +221,10 @@ impl<'d> ClientSession<'d> {
     pub fn run(&mut self, out: &mut impl Write) -> std::io::Result<()> {
         let ids: Vec<usize> = self.outstanding.keys().copied().collect();
         self.outstanding.clear();
-        let reports = self.daemon.wait(&ids);
-        let batch = batch_report(reports, self.daemon.quarantined_names());
+        let batch = BatchReport {
+            jobs: self.daemon.wait(&ids),
+            quarantined: self.daemon.quarantined_names(),
+        };
         write!(out, "{}", batch.summary())?;
         let healthy = batch.is_healthy();
         if !healthy {

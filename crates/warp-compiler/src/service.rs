@@ -1,12 +1,20 @@
 //! The compile service: Warp compilations as resilient jobs.
 //!
-//! This module binds the generic executor of [`warp_service`] to the
+//! This module binds the job engine of [`warp_service`] to the
 //! [`Session`] pipeline (DESIGN.md §10). Each submitted source becomes
-//! a named job whose [`SessionCtrl`] carries the executor's
-//! cancellation token and budget knobs, so a deadline or cancellation
-//! reaches every cooperative poll point in the pipeline — pass
-//! boundaries, the skew enumeration, the simulator cycle loop — and
-//! comes back as a structured [`CompileFailure`] instead of a hang.
+//! a named [`WorkerPool`] job whose [`SessionCtrl`] carries the job's
+//! cancellation token and the service's budget knobs, so a deadline or
+//! cancellation reaches every cooperative poll point in the pipeline —
+//! pass boundaries, the skew enumeration, the simulator cycle loop —
+//! and comes back as a structured [`CompileFailure`] instead of a hang.
+//!
+//! There is one engine and two ways to hold it. A batch
+//! ([`compile_batch_named`], behind [`crate::compile_many`] and
+//! `w2c --corpus all`) builds a pool, submits everything, waits, and
+//! shuts it down; the [`CompileDaemon`](crate::daemon::CompileDaemon)
+//! keeps one pool running behind a cache. Both build a job's
+//! [`SessionCtrl`] with `session_ctrl` and turn its result into the
+//! engine's vocabulary with `job_result`.
 //!
 //! Failure classification:
 //!
@@ -21,12 +29,14 @@
 //! [`FailureKind::Transient`] path exists for service embeddings whose
 //! job closures do I/O around the compile.
 
-use crate::{CompileFailure, CompileOptions, CompiledModule, Session, SessionCtrl};
+use crate::{CompileFailure, CompileOptions, CompiledModule, ExecBackend, Session, SessionCtrl};
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use warp_common::{Clock, Diagnostic, DiagnosticBag, SystemClock};
+use warp_common::{CancelToken, Diagnostic, DiagnosticBag, SystemClock};
 use warp_service::{
-    Admission, Executor, ExecutorConfig, FailureKind, JobFailure, JobOutcome, JobReport, JobSuccess,
+    effective_workers, ExecutorConfig, FailureKind, JobFailure, JobOutcome, JobReport, JobSuccess,
+    PoolConfig, ShutdownMode, WorkerPool,
 };
 
 /// How the retry/breaker machinery should treat a [`CompileFailure`]:
@@ -40,8 +50,8 @@ pub fn classify_failure(failure: &CompileFailure) -> FailureKind {
     }
 }
 
-/// Configuration of a [`CompileService`]: the generic executor knobs
-/// plus the per-job pipeline budgets threaded into [`SessionCtrl`].
+/// Configuration of the compile service: the job engine's knobs plus
+/// the per-job pipeline budgets threaded into [`SessionCtrl`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Queue, deadline, retry, and breaker parameters.
@@ -55,217 +65,109 @@ pub struct ServiceConfig {
     /// Source-size ceiling in bytes (`0` = unlimited); see
     /// [`SessionCtrl::max_source_bytes`].
     pub max_source_bytes: u64,
-    /// Worker threads for [`CompileService::run_parallel`]
-    /// (`0` = one per available core).
+    /// Worker threads (`0` = one per available core).
     pub workers: usize,
     /// Heartbeat staleness (clock ticks) past which the daemon's
     /// supervisor declares a running job wedged and replaces its
     /// worker (`0` = supervision off). Only the always-on
-    /// [`CompileDaemon`](crate::daemon::CompileDaemon) supervises; the
-    /// batch service ignores this.
+    /// [`CompileDaemon`](crate::daemon::CompileDaemon) supervises; a
+    /// batch ignores this.
     pub supervise_grace_ticks: u64,
     /// Real-time milliseconds between background supervisor scans
     /// (`0` = a small default).
     pub supervise_interval_ms: u64,
 }
 
-/// One compile job's report.
-pub type CompileReport = JobReport<CompiledModule, CompileFailure>;
-
-/// A resilient compile service: submit named W2 sources, then drain
-/// them under the executor's admission control, budgets, retry, and
-/// circuit-breaker policies.
-///
-/// # Examples
-///
-/// ```
-/// use warp_compiler::{corpus, service::{CompileService, ServiceConfig}, CompileOptions};
-///
-/// let mut svc = CompileService::with_system_clock(
-///     CompileOptions::default(),
-///     ServiceConfig::default(),
-/// );
-/// assert!(svc.submit("polynomial", corpus::POLYNOMIAL).is_accepted());
-/// let batch = svc.run();
-/// assert_eq!(batch.succeeded(), 1);
-/// assert!(batch.is_healthy());
-/// ```
-pub struct CompileService {
-    opts: CompileOptions,
-    config: ServiceConfig,
-    executor: Executor<CompiledModule, CompileFailure>,
+/// The pipeline control block for one job: the job's cancellation
+/// token plus the service's budgets and the serving backend.
+pub(crate) fn session_ctrl(
+    config: &ServiceConfig,
+    cancel: &CancelToken,
+    backend: ExecBackend,
+) -> SessionCtrl {
+    SessionCtrl {
+        cancel: cancel.clone(),
+        skew_max_events: config.skew_max_events,
+        max_cell_cycles: config.max_cell_cycles,
+        max_source_bytes: config.max_source_bytes,
+        backend,
+        ..SessionCtrl::default()
+    }
 }
 
-impl CompileService {
-    /// A service over an injectable clock (tests use a
-    /// [`warp_common::ManualClock`] to exercise deadlines and backoff
-    /// without real sleeps).
-    pub fn new(
-        opts: CompileOptions,
-        config: ServiceConfig,
-        clock: Arc<dyn Clock>,
-    ) -> CompileService {
-        let executor = Executor::new(config.exec.clone(), clock);
-        CompileService {
-            opts,
-            config,
-            executor,
+/// One compile's result in the job engine's vocabulary: a module whose
+/// skew bounds fell back to the conservative form is a degraded
+/// success, and a failure carries its [`classify_failure`] kind. `M` is
+/// the module handle — owned in a batch, an `Arc` out of the daemon's
+/// cache.
+pub(crate) fn job_result<M: Borrow<CompiledModule>>(
+    result: Result<M, CompileFailure>,
+) -> Result<JobSuccess<M>, JobFailure<CompileFailure>> {
+    match result {
+        Ok(module) => {
+            let degraded = module.borrow().skew.degraded;
+            Ok(JobSuccess {
+                value: module,
+                degraded,
+            })
         }
-    }
-
-    /// A service over the real clock (ticks are microseconds).
-    pub fn with_system_clock(opts: CompileOptions, config: ServiceConfig) -> CompileService {
-        CompileService::new(opts, config, Arc::new(SystemClock::new()))
-    }
-
-    /// The service's configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
-    /// Jobs currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.executor.queue_len()
-    }
-
-    /// Admission control: queues a compile job unless the queue is at
-    /// capacity (load shed with a retry hint). The returned token in
-    /// [`Admission::Accepted`] cancels just this job.
-    pub fn submit(&mut self, name: impl Into<String>, source: impl Into<String>) -> Admission {
-        let source = source.into();
-        let opts = self.opts.clone();
-        let skew_max_events = self.config.skew_max_events;
-        let max_cell_cycles = self.config.max_cell_cycles;
-        let max_source_bytes = self.config.max_source_bytes;
-        self.executor.submit(name, move |ctx| {
-            let ctrl = SessionCtrl {
-                cancel: ctx.cancel.clone(),
-                skew_max_events,
-                max_cell_cycles,
-                max_source_bytes,
-                ..SessionCtrl::default()
-            };
-            match Session::new(opts.clone())
-                .with_ctrl(ctrl)
-                .try_compile(&source)
-            {
-                Ok(module) => {
-                    let degraded = module.skew.degraded;
-                    Ok(JobSuccess {
-                        value: module,
-                        degraded,
-                    })
-                }
-                Err(failure) => Err(JobFailure {
-                    kind: classify_failure(&failure),
-                    error: failure,
-                }),
-            }
-        })
-    }
-
-    /// `true` once the circuit breaker has quarantined `name`.
-    pub fn is_quarantined(&self, name: &str) -> bool {
-        self.executor.is_quarantined(name)
-    }
-
-    /// Names currently quarantined by the circuit breaker.
-    pub fn quarantined_names(&self) -> Vec<String> {
-        self.executor.quarantined_names()
-    }
-
-    /// Clears breaker history for `name` (operator override).
-    pub fn reset_breaker(&mut self, name: &str) {
-        self.executor.reset_breaker(name);
-    }
-
-    /// Drains the queue sequentially.
-    pub fn run(&mut self) -> BatchReport {
-        let jobs = self.executor.run_all();
-        BatchReport::new(jobs, self.executor.quarantined_names())
-    }
-
-    /// Drains the queue on a scoped worker pool
-    /// ([`ServiceConfig::workers`] threads, or one per core when 0).
-    /// Reports come back in submission order.
-    pub fn run_parallel(&mut self) -> BatchReport {
-        let workers = if self.config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.config.workers
-        };
-        let jobs = self.executor.run_parallel(workers);
-        BatchReport::new(jobs, self.executor.quarantined_names())
+        Err(failure) => Err(JobFailure {
+            kind: classify_failure(&failure),
+            error: failure,
+        }),
     }
 }
 
-/// The outcome of draining one batch: per-job reports in submission
-/// order plus the breaker's quarantine list as of the end of the
-/// batch.
+/// The outcome of one batch: per-job reports in submission order plus
+/// the breaker's quarantine list as of the end of the batch. `M` is the
+/// module handle: [`CompiledModule`] for an owned batch,
+/// `Arc<CompiledModule>` for reports taken straight from the daemon
+/// (the counts, health verdict, and summary never look inside it).
 #[derive(Debug)]
-pub struct BatchReport {
+pub struct BatchReport<M = CompiledModule> {
     /// Per-job reports, in submission order.
-    pub jobs: Vec<CompileReport>,
+    pub jobs: Vec<JobReport<M, CompileFailure>>,
     /// Names quarantined by the circuit breaker after this batch.
     pub quarantined: Vec<String>,
 }
 
-impl BatchReport {
-    fn new(jobs: Vec<CompileReport>, quarantined: Vec<String>) -> BatchReport {
-        BatchReport { jobs, quarantined }
+impl<M> BatchReport<M> {
+    fn count(&self, pred: impl Fn(&JobOutcome<M, CompileFailure>) -> bool) -> usize {
+        self.jobs.iter().filter(|j| pred(&j.outcome)).count()
     }
 
     /// Jobs that produced a module (including degraded ones).
     pub fn succeeded(&self) -> usize {
-        self.jobs.iter().filter(|j| j.outcome.is_success()).count()
+        self.count(JobOutcome::is_success)
     }
 
     /// Successful jobs that degraded to conservative skew bounds.
     pub fn degraded(&self) -> usize {
-        self.jobs.iter().filter(|j| j.outcome.is_degraded()).count()
+        self.count(JobOutcome::is_degraded)
     }
 
     /// Jobs rejected with diagnostics or a size ceiling (plus panics).
     pub fn failed(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| {
-                matches!(
-                    j.outcome,
-                    JobOutcome::Failed { .. } | JobOutcome::Panicked { .. }
-                )
-            })
-            .count()
+        self.count(|o| matches!(o, JobOutcome::Failed { .. } | JobOutcome::Panicked { .. }))
     }
 
     /// Jobs stopped by their budget or external cancellation.
     pub fn timed_out(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| matches!(j.outcome, JobOutcome::TimedOut { .. }))
-            .count()
+        self.count(|o| matches!(o, JobOutcome::TimedOut { .. }))
     }
 
     /// Jobs refused by the circuit breaker.
     pub fn quarantined_jobs(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| matches!(j.outcome, JobOutcome::Quarantined { .. }))
-            .count()
+        self.count(|o| matches!(o, JobOutcome::Quarantined { .. }))
     }
 
     /// Jobs the supervisor declared wedged (worker presumed lost).
     pub fn wedged(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| matches!(j.outcome, JobOutcome::Wedged { .. }))
-            .count()
+        self.count(|o| matches!(o, JobOutcome::Wedged { .. }))
     }
 
     /// The job with the largest wall time, if any ran.
-    pub fn slowest(&self) -> Option<&CompileReport> {
+    pub fn slowest(&self) -> Option<&JobReport<M, CompileFailure>> {
         self.jobs.iter().max_by_key(|j| j.wall_ticks)
     }
 
@@ -277,10 +179,7 @@ impl BatchReport {
             && self.quarantined.is_empty()
             && self.quarantined_jobs() == 0
             && self.wedged() == 0
-            && !self
-                .jobs
-                .iter()
-                .any(|j| matches!(j.outcome, JobOutcome::Panicked { .. }))
+            && self.count(|o| matches!(o, JobOutcome::Panicked { .. })) == 0
     }
 
     /// A human-readable per-job table with a totals line: name,
@@ -327,7 +226,9 @@ impl BatchReport {
         }
         out
     }
+}
 
+impl BatchReport {
     /// Flattens the batch into per-program compile results in
     /// submission order — the [`crate::compile_many`] contract. Budget
     /// stops, panics, and quarantines become diagnostic-bearing
@@ -339,46 +240,37 @@ impl BatchReport {
                 JobOutcome::Success(s) => Ok(s.value),
                 JobOutcome::Failed { error, .. } => Err(error.into_diagnostics()),
                 JobOutcome::TimedOut { reason, .. } => {
-                    let mut diags = DiagnosticBag::new();
-                    diags.push(Diagnostic::error_global(format!(
-                        "compilation interrupted: {reason}"
-                    )));
-                    Err(diags)
+                    Err(global_error(format!("compilation interrupted: {reason}")))
                 }
                 JobOutcome::Panicked { what, .. } => {
-                    let mut diags = DiagnosticBag::new();
-                    diags.push(Diagnostic::error_global(format!(
-                        "internal compiler error: {what}"
-                    )));
-                    Err(diags)
+                    Err(global_error(format!("internal compiler error: {what}")))
                 }
                 JobOutcome::Quarantined {
                     consecutive_failures,
-                } => {
-                    let mut diags = DiagnosticBag::new();
-                    diags.push(Diagnostic::error_global(format!(
-                        "program quarantined by the circuit breaker after \
-                         {consecutive_failures} consecutive failures"
-                    )));
-                    Err(diags)
-                }
-                JobOutcome::Wedged { stalled_for_ticks } => {
-                    let mut diags = DiagnosticBag::new();
-                    diags.push(Diagnostic::error_global(format!(
-                        "compile job wedged: worker unresponsive for \
-                         {stalled_for_ticks} ticks; presumed lost and replaced"
-                    )));
-                    Err(diags)
-                }
+                } => Err(global_error(format!(
+                    "program quarantined by the circuit breaker after \
+                     {consecutive_failures} consecutive failures"
+                ))),
+                JobOutcome::Wedged { stalled_for_ticks } => Err(global_error(format!(
+                    "compile job wedged: worker unresponsive for \
+                     {stalled_for_ticks} ticks; presumed lost and replaced"
+                ))),
             })
             .collect()
     }
 }
 
-/// Batch-compiles `sources` through an inert service (no deadlines, no
-/// retry, no breaker, unbounded queue) on the system clock — the
-/// engine behind [`crate::compile_many`], also used by `w2c` for its
-/// batch summary.
+/// A diagnostic bag holding one error that belongs to no source span —
+/// how the serving layer reports what happened *around* a compile.
+pub(crate) fn global_error(message: impl Into<String>) -> DiagnosticBag {
+    let mut diags = DiagnosticBag::new();
+    diags.push(Diagnostic::error_global(message));
+    diags
+}
+
+/// Batch-compiles `sources` with everything inert (no deadlines, no
+/// retry, no breaker, unbounded queue) on the system clock — the engine
+/// behind [`crate::compile_many`].
 pub fn compile_batch<S: AsRef<str>>(sources: &[S], opts: &CompileOptions) -> BatchReport {
     compile_batch_named(
         sources
@@ -398,41 +290,74 @@ pub fn compile_batch<S: AsRef<str>>(sources: &[S], opts: &CompileOptions) -> Bat
 }
 
 /// Batch-compiles named sources under an explicit [`ServiceConfig`] on
-/// the system clock.
+/// the system clock: one short-lived [`WorkerPool`], everything
+/// submitted while dispatch is paused (so which jobs are shed depends
+/// only on `queue_capacity`, never on how fast workers drain), then
+/// resumed, waited for, and shut down. Reports come back in submission
+/// order; same-name jobs run one at a time in that order, and the
+/// breaker sees each result before the next one of its name starts.
 pub fn compile_batch_named(
     named_sources: Vec<(String, String)>,
     opts: &CompileOptions,
     config: &ServiceConfig,
 ) -> BatchReport {
-    let mut svc = CompileService::with_system_clock(opts.clone(), config.clone());
-    let mut shed: Vec<(usize, String)> = Vec::new();
-    for (i, (name, source)) in named_sources.into_iter().enumerate() {
-        if !svc.submit(name.clone(), source).is_accepted() {
-            shed.push((i, name));
-        }
+    if named_sources.is_empty() {
+        return BatchReport {
+            jobs: Vec::new(),
+            quarantined: Vec::new(),
+        };
     }
-    let mut batch = svc.run_parallel();
+    let pool: WorkerPool<CompiledModule, CompileFailure> = WorkerPool::new(
+        PoolConfig {
+            exec: config.exec.clone(),
+            workers: effective_workers(config.workers).min(named_sources.len()),
+            ..PoolConfig::default()
+        },
+        Arc::new(SystemClock::new()),
+    );
+    pool.pause();
+    let admitted: Vec<(String, Option<usize>)> = named_sources
+        .into_iter()
+        .map(|(name, source)| {
+            let (opts, config) = (opts.clone(), config.clone());
+            let admission = pool.submit(name.clone(), move |ctx| {
+                let ctrl = session_ctrl(&config, &ctx.cancel, ExecBackend::default());
+                job_result(
+                    Session::new(opts.clone())
+                        .with_ctrl(ctrl)
+                        .try_compile(&source),
+                )
+            });
+            (name, admission.id())
+        })
+        .collect();
+    pool.resume();
+    let ids: Vec<usize> = admitted.iter().filter_map(|(_, id)| *id).collect();
+    let mut finished = pool.wait(&ids).into_iter();
+    let quarantined = pool.quarantined_names();
+    pool.shutdown(ShutdownMode::Drain);
     // Load-shed jobs still occupy their submission slot in the report
     // (a transient failure with zero attempts), so callers keep
     // positional alignment with their inputs.
-    for (i, name) in shed {
-        let mut diags = DiagnosticBag::new();
-        diags.push(Diagnostic::error_global(
-            "compile service queue full (load shed); retry later",
-        ));
-        batch.jobs.insert(
-            i,
-            JobReport {
+    let jobs = admitted
+        .into_iter()
+        .map(|(name, id)| match id {
+            Some(_) => finished
+                .next()
+                .expect("every accepted job reports exactly once"),
+            None => JobReport {
                 id: usize::MAX,
                 name,
                 outcome: JobOutcome::Failed {
                     kind: FailureKind::Transient,
-                    error: CompileFailure::Diagnostics(diags),
+                    error: CompileFailure::Diagnostics(global_error(
+                        "compile service queue full (load shed); retry later",
+                    )),
                     attempts: 0,
                 },
                 wall_ticks: 0,
             },
-        );
-    }
-    batch
+        })
+        .collect();
+    BatchReport { jobs, quarantined }
 }

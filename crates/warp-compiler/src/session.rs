@@ -371,13 +371,13 @@ impl<'obs> Session<'obs> {
     }
 }
 
-/// Compiles several W2 modules in parallel on scoped threads.
+/// Compiles several W2 modules in parallel.
 ///
-/// A thin client of the resilient executor (see [`crate::service`]):
-/// each source becomes a job in an inert
-/// [`CompileService`](crate::service::CompileService) — no
-/// deadlines, no retry, no breaker — drained by a scoped worker pool
-/// capped at [`std::thread::available_parallelism`].
+/// A thin client of the job engine (see [`crate::service`]): each
+/// source becomes a job on a short-lived
+/// [`WorkerPool`](warp_service::WorkerPool) with everything inert — no
+/// deadlines, no retry, no breaker — sized to the smaller of the batch
+/// and [`std::thread::available_parallelism`].
 ///
 /// Results are returned in input order regardless of which thread
 /// finished first, and each element equals what a sequential
@@ -401,8 +401,5 @@ pub fn compile_many<S: AsRef<str> + Sync>(
     sources: &[S],
     opts: &CompileOptions,
 ) -> Vec<Result<CompiledModule, DiagnosticBag>> {
-    if sources.is_empty() {
-        return Vec::new();
-    }
     crate::service::compile_batch(sources, opts).into_results()
 }

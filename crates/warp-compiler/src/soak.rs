@@ -54,6 +54,7 @@ use warp_service::{Admission, ExecutorConfig, ShutdownMode};
 use crate::cache::{CacheConfig, CacheStats};
 use crate::corpus;
 use crate::daemon::{CompileDaemon, DaemonConfig};
+use crate::report::{json_str_array, percentile};
 use crate::service::ServiceConfig;
 use crate::CompileOptions;
 
@@ -236,40 +237,16 @@ impl SoakReport {
             ));
         }
         out.push_str("  ],\n");
-        out.push_str("  \"quarantined\": [");
-        for (i, name) in self.quarantined.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(name));
-        }
-        out.push_str("],\n");
-        out.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(v));
-        }
-        out.push_str("]\n}\n");
+        out.push_str(&format!(
+            "  \"quarantined\": {},\n",
+            json_str_array(&self.quarantined)
+        ));
+        out.push_str(&format!(
+            "  \"violations\": {}\n}}\n",
+            json_str_array(&self.violations)
+        ));
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The Zipfian program universe: corpus staples plus generator
@@ -558,14 +535,6 @@ pub fn run_soak(config: &SoakConfig, clock: Arc<dyn Clock>) -> SoakReport {
     outcomes.sort();
     let mut latencies = driver.latencies;
     latencies.sort_unstable();
-    let percentile = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            0
-        } else {
-            let idx = ((latencies.len() - 1) as f64 * p).round() as usize;
-            latencies[idx]
-        }
-    };
     let elapsed_ticks = clock.now_ticks().saturating_sub(started);
     let completed = latencies.len() as f64;
     let jobs_per_sec = if elapsed_ticks == 0 {
@@ -585,8 +554,8 @@ pub fn run_soak(config: &SoakConfig, clock: Arc<dyn Clock>) -> SoakReport {
         cache: driver.daemon.cache_stats(),
         max_queue_depth: pool.max_queue_depth,
         elapsed_ticks,
-        p50_ticks: percentile(0.50),
-        p99_ticks: percentile(0.99),
+        p50_ticks: percentile(&latencies, 0.50),
+        p99_ticks: percentile(&latencies, 0.99),
         jobs_per_sec,
         violations: driver.violations,
     }

@@ -67,6 +67,7 @@ use warp_service::{ExecutorConfig, JobOutcome, ShutdownMode, SUPERVISE_MANUAL};
 use crate::cache::CacheConfig;
 use crate::corpus;
 use crate::daemon::{CompileDaemon, DaemonConfig};
+use crate::report::{json_str_array, percentile};
 use crate::service::ServiceConfig;
 use crate::soak::{program_universe, zipf};
 use crate::{CompileOptions, ExecBackend};
@@ -265,40 +266,16 @@ impl WedgeSoakReport {
             self.healthy_p99_ticks
         ));
         out.push_str(&format!("  \"elapsed_ticks\": {},\n", self.elapsed_ticks));
-        out.push_str("  \"quarantined\": [");
-        for (i, name) in self.quarantined.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(name));
-        }
-        out.push_str("],\n");
-        out.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(v));
-        }
-        out.push_str("]\n}\n");
+        out.push_str(&format!(
+            "  \"quarantined\": {},\n",
+            json_str_array(&self.quarantined)
+        ));
+        out.push_str(&format!(
+            "  \"violations\": {}\n}}\n",
+            json_str_array(&self.violations)
+        ));
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// What one submitted job is expected to do.
@@ -620,13 +597,6 @@ pub fn run_wedge_soak(config: &WedgeSoakConfig, clock: Arc<dyn Clock>) -> WedgeS
     outcomes.sort();
     healthy_latencies.sort_unstable();
     wedge_latencies.sort_unstable();
-    let percentile = |sorted: &[u64], p: f64| -> u64 {
-        if sorted.is_empty() {
-            0
-        } else {
-            sorted[((sorted.len() - 1) as f64 * p).round() as usize]
-        }
-    };
 
     WedgeSoakReport {
         config: config.clone(),

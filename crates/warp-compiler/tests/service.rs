@@ -1,7 +1,9 @@
 //! End-to-end tests of the resilient compile service: budgets,
 //! cancellation, graceful degradation, and the circuit breaker driven
-//! against the real pipeline on a deterministic clock — no real sleeps,
-//! no wall-clock flakiness.
+//! against the real pipeline. Tests that count ticks run a one-worker
+//! [`CompileDaemon`] on a deterministic clock — no real sleeps, no
+//! wall-clock flakiness; tests that only need the outcome go through
+//! [`compile_batch_named`], the batch entry point.
 //!
 //! The deterministic-time trick: a [`ManualClock`] with auto-advance
 //! charges one tick per deadline poll, so "wall time" is the number of
@@ -16,9 +18,13 @@ use std::sync::Arc;
 use warp_common::{CancelReason, CancelToken, ManualClock};
 use warp_compiler::{
     audit::{self, AuditOptions},
-    corpus, CompileFailure, CompileOptions, CompileService, ServiceConfig, Session, SessionCtrl,
+    corpus,
+    daemon::{CompileDaemon, DaemonConfig},
+    service::compile_batch_named,
+    BatchReport, CompileFailure, CompileOptions, CompiledModule, ServiceConfig, Session,
+    SessionCtrl,
 };
-use warp_service::{ExecutorConfig, FailureKind, JobOutcome};
+use warp_service::{Admission, ExecutorConfig, FailureKind, JobOutcome, ShutdownMode};
 
 /// A structurally valid two-cell program whose skew analysis must
 /// enumerate two million I/O events — far beyond any deadline a test
@@ -35,18 +41,45 @@ fn auto_clock() -> Arc<ManualClock> {
     Arc::new(ManualClock::with_auto_advance(0, 1))
 }
 
-fn service(deadline_ticks: u64) -> CompileService {
-    CompileService::new(
+/// A one-worker daemon on the auto-advancing clock: jobs run one at a
+/// time in submission order, so every tick count is deterministic.
+fn daemon(exec: ExecutorConfig) -> CompileDaemon {
+    CompileDaemon::new(
         CompileOptions::default(),
-        ServiceConfig {
-            exec: ExecutorConfig {
-                queue_capacity: 16,
-                deadline_ticks,
-                ..ExecutorConfig::default()
+        DaemonConfig {
+            service: ServiceConfig {
+                exec,
+                workers: 1,
+                ..ServiceConfig::default()
             },
-            ..ServiceConfig::default()
+            ..DaemonConfig::default()
         },
         auto_clock(),
+    )
+}
+
+/// Submits `jobs` against a paused queue, then runs them and collects
+/// the batch.
+fn run_batch(d: &CompileDaemon, jobs: &[(&str, &str)]) -> BatchReport<Arc<CompiledModule>> {
+    d.pause();
+    let ids: Vec<usize> = jobs
+        .iter()
+        .map(|(name, source)| d.submit(*name, *source).id().expect("accepted"))
+        .collect();
+    d.resume();
+    BatchReport {
+        jobs: d.wait(&ids),
+        quarantined: d.quarantined_names(),
+    }
+}
+
+/// A batch of one on the system clock, through the same entry point as
+/// `w2c --corpus all`.
+fn batch_of_one(name: &str, source: &str, config: &ServiceConfig) -> BatchReport {
+    compile_batch_named(
+        vec![(name.to_owned(), source.to_owned())],
+        &CompileOptions::default(),
+        config,
     )
 }
 
@@ -57,19 +90,17 @@ fn service(deadline_ticks: u64) -> CompileService {
 fn runaway_job_is_killed_by_its_budget_while_the_corpus_completes() {
     // 200 polls of budget: corpus programs use ~a dozen each, the
     // runaway needs hundreds before its skew enumeration would finish.
-    let mut svc = service(200);
-    let (first, rest) = corpus::TABLE_7_1.split_at(2);
-    for (name, source) in first {
-        assert!(svc.submit(*name, *source).is_accepted());
-    }
+    let d = daemon(ExecutorConfig {
+        queue_capacity: 16,
+        deadline_ticks: 200,
+        ..ExecutorConfig::default()
+    });
     // Sandwich the runaway between corpus programs: jobs before and
     // after it must be unaffected.
-    assert!(svc.submit("runaway", RUNAWAY).is_accepted());
-    for (name, source) in rest {
-        assert!(svc.submit(*name, *source).is_accepted());
-    }
-
-    let batch = svc.run();
+    let mut jobs = corpus::TABLE_7_1.to_vec();
+    jobs.insert(2, ("runaway", RUNAWAY));
+    let batch = run_batch(&d, &jobs);
+    d.shutdown(ShutdownMode::Drain);
     assert_eq!(batch.jobs.len(), 6);
     assert_eq!(batch.succeeded(), 5, "{}", batch.summary());
     assert_eq!(batch.timed_out(), 1, "{}", batch.summary());
@@ -150,16 +181,14 @@ fn cancelled_session_stops_at_the_first_checkpoint() {
 /// the expensive analyses, with a structured report of the excess.
 #[test]
 fn size_ceiling_rejects_oversized_programs_as_permanent() {
-    let mut svc = CompileService::new(
-        CompileOptions::default(),
-        ServiceConfig {
+    let batch = batch_of_one(
+        "runaway",
+        RUNAWAY,
+        &ServiceConfig {
             max_cell_cycles: 10_000,
             ..ServiceConfig::default()
         },
-        auto_clock(),
     );
-    assert!(svc.submit("runaway", RUNAWAY).is_accepted());
-    let batch = svc.run();
     let JobOutcome::Failed { kind, error, .. } = &batch.jobs[0].outcome else {
         panic!("expected Failed, got {}", batch.jobs[0].outcome.label());
     };
@@ -185,16 +214,14 @@ fn size_ceiling_rejects_oversized_programs_as_permanent() {
 /// passes — the bound is sound, just not claimed tight.
 #[test]
 fn degraded_skew_fallback_still_passes_the_guarantee_audit() {
-    let mut svc = CompileService::new(
-        CompileOptions::default(),
-        ServiceConfig {
+    let batch = batch_of_one(
+        "conv1d",
+        corpus::ONED_CONV,
+        &ServiceConfig {
             skew_max_events: 8,
             ..ServiceConfig::default()
         },
-        auto_clock(),
     );
-    assert!(svc.submit("conv1d", corpus::ONED_CONV).is_accepted());
-    let batch = svc.run();
     assert_eq!(batch.succeeded(), 1, "{}", batch.summary());
     assert_eq!(batch.degraded(), 1, "{}", batch.summary());
     assert!(batch.is_healthy(), "degraded is not unhealthy");
@@ -227,63 +254,90 @@ fn circuit_breaker_quarantines_a_repeatedly_failing_program() {
     const BROKEN: &str = "module broken (xs in) float xs[4]; \
         cellprogram (cid : 0 : 0) begin function f begin \
         this is not w2; end call f; end";
-    let mut svc = CompileService::new(
-        CompileOptions::default(),
-        ServiceConfig {
-            exec: ExecutorConfig {
-                breaker_threshold: 3,
-                ..ExecutorConfig::default()
-            },
-            ..ServiceConfig::default()
-        },
-        auto_clock(),
-    );
+    let d = daemon(ExecutorConfig {
+        breaker_threshold: 3,
+        ..ExecutorConfig::default()
+    });
     for round in 0..3 {
-        assert!(svc.submit("broken", BROKEN).is_accepted());
-        let batch = svc.run();
+        let batch = run_batch(&d, &[("broken", BROKEN)]);
         assert_eq!(batch.failed(), 1, "round {round}: {}", batch.summary());
     }
-    assert!(svc.is_quarantined("broken"));
+    assert!(d.is_quarantined("broken"));
 
-    assert!(svc.submit("broken", BROKEN).is_accepted());
-    let batch = svc.run();
+    let batch = run_batch(&d, &[("broken", BROKEN)]);
     assert_eq!(batch.quarantined_jobs(), 1, "{}", batch.summary());
     assert_eq!(batch.quarantined, vec!["broken".to_owned()]);
     assert!(!batch.is_healthy());
 
-    svc.reset_breaker("broken");
-    assert!(!svc.is_quarantined("broken"));
+    assert!(d.reset_breaker("broken"));
+    assert!(!d.is_quarantined("broken"));
     // A (fixed) program under the same name runs again after the reset.
-    assert!(svc.submit("broken", corpus::POLYNOMIAL).is_accepted());
-    let batch = svc.run();
+    let batch = run_batch(&d, &[("broken", corpus::POLYNOMIAL)]);
     assert_eq!(batch.succeeded(), 1, "{}", batch.summary());
+    d.shutdown(ShutdownMode::Drain);
 }
 
 /// Load shedding at the admission boundary: a full queue rejects with a
 /// retry hint instead of queueing unboundedly.
 #[test]
 fn full_queue_sheds_load_with_a_retry_hint() {
-    let mut svc = CompileService::new(
-        CompileOptions::default(),
-        ServiceConfig {
+    let d = daemon(ExecutorConfig {
+        queue_capacity: 2,
+        retry_after_ticks: 777,
+        ..ExecutorConfig::default()
+    });
+    d.pause();
+    let a = d.submit("a", corpus::POLYNOMIAL).id().expect("accepted");
+    let b = d.submit("b", corpus::POLYNOMIAL).id().expect("accepted");
+    match d.submit("c", corpus::POLYNOMIAL) {
+        Admission::Rejected { retry_after_ticks } => assert_eq!(retry_after_ticks, 777),
+        Admission::Accepted { .. } => panic!("queue of 2 must shed the third job"),
+    }
+    assert_eq!(d.queue_len(), 2);
+    d.resume();
+    let reports = d.wait(&[a, b]);
+    assert_eq!(reports.len(), 2);
+    assert!(reports.iter().all(|r| r.outcome.is_success()));
+    d.shutdown(ShutdownMode::Drain);
+}
+
+/// A batch keeps positional alignment with its inputs under load
+/// shedding: with room for two, sources three and four come back as
+/// zero-attempt transient failures in their own slots — whatever the
+/// worker count, because the batch submits against a paused queue.
+#[test]
+fn shed_batch_jobs_keep_their_submission_slots() {
+    let named: Vec<(String, String)> = ["a", "b", "c", "d"]
+        .iter()
+        .map(|n| ((*n).to_owned(), corpus::POLYNOMIAL.to_owned()))
+        .collect();
+    let batch = compile_batch_named(
+        named,
+        &CompileOptions::default(),
+        &ServiceConfig {
             exec: ExecutorConfig {
                 queue_capacity: 2,
-                retry_after_ticks: 777,
                 ..ExecutorConfig::default()
             },
             ..ServiceConfig::default()
         },
-        auto_clock(),
     );
-    assert!(svc.submit("a", corpus::POLYNOMIAL).is_accepted());
-    assert!(svc.submit("b", corpus::POLYNOMIAL).is_accepted());
-    match svc.submit("c", corpus::POLYNOMIAL) {
-        warp_service::Admission::Rejected { retry_after_ticks } => {
-            assert_eq!(retry_after_ticks, 777);
-        }
-        warp_service::Admission::Accepted { .. } => panic!("queue of 2 must shed the third job"),
+    let names: Vec<&str> = batch.jobs.iter().map(|j| j.name.as_str()).collect();
+    assert_eq!(names, ["a", "b", "c", "d"]);
+    assert!(batch.jobs[0].outcome.is_success());
+    assert!(batch.jobs[1].outcome.is_success());
+    for shed in &batch.jobs[2..] {
+        let JobOutcome::Failed {
+            kind,
+            error,
+            attempts,
+        } = &shed.outcome
+        else {
+            panic!("{} must be shed, got {}", shed.name, shed.outcome.label());
+        };
+        assert_eq!(*kind, FailureKind::Transient);
+        assert_eq!(*attempts, 0);
+        assert!(error.to_string().contains("load shed"), "{error}");
     }
-    assert_eq!(svc.queue_len(), 2);
-    let batch = svc.run();
-    assert_eq!(batch.succeeded(), 2);
+    assert_eq!(batch.into_results().iter().filter(|r| r.is_ok()).count(), 2);
 }

@@ -1,12 +1,16 @@
 //! Resilient job execution for the Warp compile service.
 //!
 //! This crate is the generic half of the service layer described in
-//! DESIGN.md §10: a bounded job queue with admission control, per-job
-//! budgets (a wall-clock deadline armed when the job starts running),
-//! cooperative cancellation, panic isolation, deterministic retry with
-//! jittered exponential backoff for transient failures, and a
-//! per-program circuit breaker that quarantines inputs which keep
-//! failing. It knows nothing about compilation — jobs are closures
+//! DESIGN.md §10. It has one engine, [`WorkerPool`]: a bounded job
+//! queue with admission control, per-job budgets (a wall-clock deadline
+//! armed when the job starts running), cooperative cancellation, panic
+//! isolation, deterministic retry with jittered exponential backoff
+//! for transient failures, and a per-program circuit breaker that
+//! quarantines inputs which keep failing. A batch is "pause, submit
+//! everything, resume, wait"; a daemon is the same pool left running.
+//! This file holds the vocabulary both share (configuration, outcomes,
+//! reports) and `run_job`, the one attempt loop every worker executes.
+//! The crate knows nothing about compilation — jobs are closures
 //! returning [`JobSuccess`] or [`JobFailure`] — so the whole layer is
 //! unit-testable with a [`ManualClock`](warp_common::ManualClock) and
 //! trivial jobs, with zero real sleeps.
@@ -22,11 +26,9 @@
 //! job name. Two runs with the same config, clock behaviour, and job
 //! results produce byte-identical reports.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use warp_common::{splitmix64, CancelReason, CancelToken, Clock};
 
@@ -59,11 +61,11 @@ impl Default for BackoffConfig {
     }
 }
 
-/// Knobs of the resilient executor. Everything is deterministic given
-/// a deterministic [`Clock`].
+/// Knobs of the job engine. Everything is deterministic given a
+/// deterministic [`Clock`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecutorConfig {
-    /// Maximum queued jobs before [`Executor::submit`] sheds load
+    /// Maximum queued jobs before [`WorkerPool::submit`] sheds load
     /// (`0` = unbounded).
     pub queue_capacity: usize,
     /// Per-job wall-clock budget in clock ticks, armed when the job
@@ -196,15 +198,15 @@ pub struct JobCtx {
 /// The job closure: re-invocable because transient failures retry.
 pub type Job<T, E> = Box<dyn Fn(&JobCtx) -> Result<JobSuccess<T>, JobFailure<E>> + Send + Sync>;
 
-/// Result of [`Executor::submit`]: either a queue slot (with the
+/// Result of [`WorkerPool::submit`]: either a queue slot (with the
 /// cancellation token for that job) or a load-shed rejection carrying
 /// a retry hint.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Admission {
-    /// Queued. `id` indexes the reports of the next run; `cancel`
+    /// Queued. `id` names the job to [`WorkerPool::wait`]; `cancel`
     /// cancels this one job from outside.
     Accepted {
-        /// Slot in the next run's report vector.
+        /// The job's id, assigned in submission order.
         id: usize,
         /// Cancels this job (cooperatively) from outside.
         cancel: CancelToken,
@@ -320,229 +322,6 @@ pub(crate) struct QueuedJob<T, E> {
     pub(crate) job: Job<T, E>,
 }
 
-/// The resilient executor: a bounded FIFO of named jobs, drained
-/// sequentially ([`Executor::run_all`]) or by a scoped worker pool
-/// ([`Executor::run_parallel`]). Reports always come back in
-/// submission order.
-///
-/// Breaker semantics differ slightly between the two drain modes, by
-/// design: the sequential drain updates the breaker after every job,
-/// so a name can be quarantined partway through one batch; the
-/// parallel drain snapshots quarantine state up front and folds the
-/// batch's failures in afterwards (in submission order), keeping the
-/// result independent of worker scheduling.
-pub struct Executor<T, E> {
-    config: ExecutorConfig,
-    clock: Arc<dyn Clock>,
-    queue: VecDeque<QueuedJob<T, E>>,
-    breaker: BTreeMap<String, BreakerState>,
-    next_id: usize,
-}
-
-impl<T: Send, E: Send> Executor<T, E> {
-    /// An executor over the given clock.
-    pub fn new(config: ExecutorConfig, clock: Arc<dyn Clock>) -> Executor<T, E> {
-        Executor {
-            config,
-            clock,
-            queue: VecDeque::new(),
-            breaker: BTreeMap::new(),
-            next_id: 0,
-        }
-    }
-
-    /// The executor's configuration.
-    pub fn config(&self) -> &ExecutorConfig {
-        &self.config
-    }
-
-    /// Jobs currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Admission control: queues the job unless the queue is at
-    /// capacity, in which case the job is shed with a retry hint.
-    pub fn submit(
-        &mut self,
-        name: impl Into<String>,
-        job: impl Fn(&JobCtx) -> Result<JobSuccess<T>, JobFailure<E>> + Send + Sync + 'static,
-    ) -> Admission {
-        if self.config.queue_capacity != 0 && self.queue.len() >= self.config.queue_capacity {
-            return Admission::Rejected {
-                retry_after_ticks: self.config.retry_after_ticks,
-            };
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        let token = CancelToken::new(self.clock.clone());
-        self.queue.push_back(QueuedJob {
-            id,
-            name: name.into(),
-            token: token.clone(),
-            job: Box::new(job),
-        });
-        Admission::Accepted { id, cancel: token }
-    }
-
-    /// `true` once the breaker has tripped for `name`.
-    pub fn is_quarantined(&self, name: &str) -> bool {
-        self.config.breaker_threshold != 0
-            && self
-                .breaker
-                .get(name)
-                .is_some_and(|b| b.consecutive >= self.config.breaker_threshold)
-    }
-
-    /// Names currently quarantined by the circuit breaker.
-    pub fn quarantined_names(&self) -> Vec<String> {
-        if self.config.breaker_threshold == 0 {
-            return Vec::new();
-        }
-        self.breaker
-            .iter()
-            .filter(|(_, b)| b.consecutive >= self.config.breaker_threshold)
-            .map(|(n, _)| n.clone())
-            .collect()
-    }
-
-    /// Clears the breaker history for `name` (operator override).
-    pub fn reset_breaker(&mut self, name: &str) {
-        self.breaker.remove(name);
-    }
-
-    /// The (jittered, deterministic) delay before retry `attempt`
-    /// (1 = delay after the first failure). Exposed so tests and docs
-    /// can state the exact schedule.
-    pub fn backoff_ticks(&self, name: &str, attempt: u32) -> u64 {
-        backoff_ticks(&self.config, name, attempt)
-    }
-
-    /// Drains the queue sequentially. The breaker is updated after
-    /// each job, so a repeatedly failing name can be quarantined
-    /// partway through the batch.
-    pub fn run_all(&mut self) -> Vec<JobReport<T, E>> {
-        let mut reports = Vec::with_capacity(self.queue.len());
-        while let Some(q) = self.queue.pop_front() {
-            let consecutive = self.breaker.get(&q.name).copied().unwrap_or_default();
-            let quarantined = self.is_quarantined(&q.name);
-            let report = run_job(&self.config, &self.clock, quarantined, consecutive, &q);
-            self.absorb(&report);
-            reports.push(report);
-        }
-        reports
-    }
-
-    /// Drains the queue with `workers` scoped threads. Reports come
-    /// back in submission order regardless of completion order.
-    /// Quarantine state is snapshotted at the start; the batch's own
-    /// failures feed the breaker only after every job has finished,
-    /// folded in submission order — so the outcome set is independent
-    /// of worker scheduling.
-    pub fn run_parallel(&mut self, workers: usize) -> Vec<JobReport<T, E>> {
-        let jobs: Vec<QueuedJob<T, E>> = self.queue.drain(..).collect();
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let workers = workers.max(1).min(jobs.len());
-        if workers == 1 {
-            // Degenerate pool: reuse the sequential path but with the
-            // same snapshot-then-fold breaker semantics.
-            let snapshot = self.breaker.clone();
-            let mut reports = Vec::with_capacity(jobs.len());
-            for q in &jobs {
-                let consecutive = snapshot.get(&q.name).copied().unwrap_or_default();
-                let quarantined = self.config.breaker_threshold != 0
-                    && consecutive.consecutive >= self.config.breaker_threshold;
-                reports.push(run_job(
-                    &self.config,
-                    &self.clock,
-                    quarantined,
-                    consecutive,
-                    q,
-                ));
-            }
-            for report in &reports {
-                self.absorb(report);
-            }
-            return reports;
-        }
-
-        let n = jobs.len();
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<JobReport<T, E>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let snapshot = &self.breaker;
-        let config = &self.config;
-        let clock = &self.clock;
-        let threshold = self.config.breaker_threshold;
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= n {
-                        break;
-                    }
-                    let q = &jobs[i];
-                    let consecutive = snapshot.get(&q.name).copied().unwrap_or_default();
-                    let quarantined = threshold != 0 && consecutive.consecutive >= threshold;
-                    let report = run_job(config, clock, quarantined, consecutive, q);
-                    if let Ok(mut slot) = slots[i].lock() {
-                        *slot = Some(report);
-                    }
-                });
-            }
-        });
-        let reports: Vec<JobReport<T, E>> = slots
-            .into_iter()
-            .zip(&jobs)
-            .map(|(slot, q)| {
-                let filled = slot
-                    .into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                filled.unwrap_or(JobReport {
-                    id: q.id,
-                    name: q.name.clone(),
-                    outcome: JobOutcome::Panicked {
-                        what: "worker thread died before reporting".to_owned(),
-                        attempts: 0,
-                    },
-                    wall_ticks: 0,
-                })
-            })
-            .collect();
-        for report in &reports {
-            self.absorb(report);
-        }
-        reports
-    }
-
-    /// Folds one report into the breaker state.
-    fn absorb(&mut self, report: &JobReport<T, E>) {
-        if self.config.breaker_threshold == 0 {
-            return;
-        }
-        match &report.outcome {
-            JobOutcome::Success(_) => {
-                self.breaker.remove(&report.name);
-            }
-            JobOutcome::Failed {
-                kind: FailureKind::Transient,
-                ..
-            }
-            | JobOutcome::Quarantined { .. } => {}
-            JobOutcome::Failed { .. }
-            | JobOutcome::TimedOut { .. }
-            | JobOutcome::Panicked { .. }
-            | JobOutcome::Wedged { .. } => {
-                self.breaker
-                    .entry(report.name.clone())
-                    .or_default()
-                    .consecutive += 1;
-            }
-        }
-    }
-}
-
 /// The deterministic jittered backoff schedule:
 /// `min(max, base * factor^(attempt-1))` plus `splitmix64` jitter of
 /// up to a quarter of the raw delay, seeded by `jitter_seed` and the
@@ -646,45 +425,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
-    use warp_common::ManualClock;
-
-    type TestExec = Executor<u32, String>;
-
-    fn manual(start: u64) -> Arc<ManualClock> {
-        Arc::new(ManualClock::new(start))
-    }
-
-    fn ok_job(v: u32) -> impl Fn(&JobCtx) -> Result<JobSuccess<u32>, JobFailure<String>> {
-        move |_ctx| Ok(JobSuccess::full(v))
-    }
-
-    #[test]
-    fn queue_full_sheds_load_with_retry_hint() {
-        let clock = manual(0);
-        let mut ex: TestExec = Executor::new(
-            ExecutorConfig {
-                queue_capacity: 2,
-                retry_after_ticks: 777,
-                ..ExecutorConfig::default()
-            },
-            clock,
-        );
-        assert!(ex.submit("a", ok_job(1)).is_accepted());
-        assert!(ex.submit("b", ok_job(2)).is_accepted());
-        assert_eq!(
-            ex.submit("c", ok_job(3)),
-            Admission::Rejected {
-                retry_after_ticks: 777
-            }
-        );
-        assert_eq!(ex.queue_len(), 2);
-        let reports = ex.run_all();
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|r| r.outcome.is_success()));
-        // Capacity freed: the shed job is admissible on resubmit.
-        assert!(ex.submit("c", ok_job(3)).is_accepted());
-    }
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {
@@ -716,285 +456,6 @@ mod tests {
             backoff_ticks(&config, "job", 1),
             backoff_ticks(&reseeded, "job", 1)
         );
-    }
-
-    #[test]
-    fn transient_failures_retry_with_deterministic_backoff() {
-        let clock = manual(0);
-        let config = ExecutorConfig {
-            max_attempts: 3,
-            ..ExecutorConfig::default()
-        };
-        let mut ex: TestExec = Executor::new(config.clone(), clock.clone());
-        let tries = Arc::new(AtomicU32::new(0));
-        let t = tries.clone();
-        ex.submit("flaky", move |_ctx| {
-            if t.fetch_add(1, Ordering::SeqCst) < 2 {
-                Err(JobFailure::transient("hiccup".to_owned()))
-            } else {
-                Ok(JobSuccess::full(7))
-            }
-        });
-        let reports = ex.run_all();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].outcome, JobOutcome::Success(JobSuccess::full(7)));
-        assert_eq!(tries.load(Ordering::SeqCst), 3);
-        // Wall time is exactly the two backoff sleeps — the ManualClock
-        // advances only inside sleep_ticks.
-        let expected = backoff_ticks(&config, "flaky", 1) + backoff_ticks(&config, "flaky", 2);
-        assert_eq!(reports[0].wall_ticks, expected);
-    }
-
-    #[test]
-    fn transient_exhaustion_reports_final_error() {
-        let clock = manual(0);
-        let mut ex: TestExec = Executor::new(
-            ExecutorConfig {
-                max_attempts: 2,
-                breaker_threshold: 1,
-                ..ExecutorConfig::default()
-            },
-            clock,
-        );
-        ex.submit("flaky", |_ctx| {
-            Err(JobFailure::transient("still down".to_owned()))
-        });
-        let reports = ex.run_all();
-        assert_eq!(
-            reports[0].outcome,
-            JobOutcome::Failed {
-                kind: FailureKind::Transient,
-                error: "still down".to_owned(),
-                attempts: 2,
-            }
-        );
-        // Transient exhaustion does not feed the breaker.
-        assert!(!ex.is_quarantined("flaky"));
-    }
-
-    #[test]
-    fn deadline_ends_job_between_retries_with_structured_timeout() {
-        let clock = manual(0);
-        let config = ExecutorConfig {
-            max_attempts: 10,
-            deadline_ticks: 3_000, // less than two backoff sleeps
-            ..ExecutorConfig::default()
-        };
-        let mut ex: TestExec = Executor::new(config, clock);
-        ex.submit("doomed", |_ctx| {
-            Err(JobFailure::transient("flap".to_owned()))
-        });
-        let reports = ex.run_all();
-        match &reports[0].outcome {
-            JobOutcome::TimedOut { reason, attempts } => {
-                assert!(
-                    matches!(reason, CancelReason::DeadlineExceeded { .. }),
-                    "{reason:?}"
-                );
-                assert!(*attempts >= 1 && *attempts < 10, "{attempts}");
-            }
-            other => panic!("expected TimedOut, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cooperative_job_observes_deadline_mid_attempt() {
-        // The job polls its token like the compiler's pass boundaries
-        // do; the auto-advancing clock makes each poll cost 100 ticks.
-        let clock = Arc::new(ManualClock::with_auto_advance(0, 100));
-        let mut ex: TestExec = Executor::new(
-            ExecutorConfig {
-                deadline_ticks: 1_000,
-                ..ExecutorConfig::default()
-            },
-            clock,
-        );
-        let polls = Arc::new(AtomicU32::new(0));
-        let p = polls.clone();
-        ex.submit("spinner", move |ctx| loop {
-            p.fetch_add(1, Ordering::SeqCst);
-            if let Err(reason) = ctx.cancel.check() {
-                return Err(JobFailure::timeout(reason.to_string()));
-            }
-        });
-        let reports = ex.run_all();
-        match &reports[0].outcome {
-            JobOutcome::TimedOut { reason, attempts } => {
-                assert!(matches!(reason, CancelReason::DeadlineExceeded { .. }));
-                assert_eq!(*attempts, 1);
-            }
-            other => panic!("expected TimedOut, got {other:?}"),
-        }
-        // ~12 polls: deadline armed at tick 100, each check reads the
-        // clock once. Bounded and deterministic either way.
-        assert!(polls.load(Ordering::SeqCst) < 20);
-    }
-
-    #[test]
-    fn external_cancellation_stops_a_queued_job() {
-        let clock = manual(0);
-        let mut ex: TestExec = Executor::new(ExecutorConfig::default(), clock);
-        let Admission::Accepted { cancel, .. } = ex.submit("victim", ok_job(1)) else {
-            panic!("expected acceptance");
-        };
-        ex.submit("bystander", ok_job(2));
-        cancel.cancel();
-        let reports = ex.run_all();
-        assert_eq!(
-            reports[0].outcome,
-            JobOutcome::TimedOut {
-                reason: CancelReason::Cancelled,
-                attempts: 0,
-            }
-        );
-        assert!(reports[1].outcome.is_success());
-    }
-
-    #[test]
-    fn breaker_quarantines_after_consecutive_permanent_failures() {
-        let clock = manual(0);
-        let mut ex: TestExec = Executor::new(
-            ExecutorConfig {
-                breaker_threshold: 2,
-                ..ExecutorConfig::default()
-            },
-            clock,
-        );
-        for _ in 0..3 {
-            ex.submit("bad", |_ctx| {
-                Err(JobFailure::permanent("type error".to_owned()))
-            });
-        }
-        ex.submit("good", ok_job(9));
-        let reports = ex.run_all();
-        assert!(matches!(
-            reports[0].outcome,
-            JobOutcome::Failed {
-                kind: FailureKind::Permanent,
-                ..
-            }
-        ));
-        assert!(matches!(
-            reports[1].outcome,
-            JobOutcome::Failed {
-                kind: FailureKind::Permanent,
-                ..
-            }
-        ));
-        assert_eq!(
-            reports[2].outcome,
-            JobOutcome::Quarantined {
-                consecutive_failures: 2
-            }
-        );
-        assert!(reports[3].outcome.is_success());
-        assert_eq!(ex.quarantined_names(), vec!["bad".to_owned()]);
-        // Operator override reopens the circuit.
-        ex.reset_breaker("bad");
-        assert!(!ex.is_quarantined("bad"));
-    }
-
-    #[test]
-    fn success_resets_breaker_history() {
-        let clock = manual(0);
-        let mut ex: TestExec = Executor::new(
-            ExecutorConfig {
-                breaker_threshold: 2,
-                ..ExecutorConfig::default()
-            },
-            clock,
-        );
-        ex.submit("waver", |_ctx| Err(JobFailure::permanent("no".to_owned())));
-        ex.submit("waver", ok_job(1));
-        ex.submit("waver", |_ctx| Err(JobFailure::permanent("no".to_owned())));
-        let reports = ex.run_all();
-        // fail, success (resets), fail: never reaches 2 consecutive.
-        assert!(!ex.is_quarantined("waver"));
-        assert!(reports[1].outcome.is_success());
-    }
-
-    #[test]
-    fn panic_is_contained_to_the_job() {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let clock = manual(0);
-        let mut ex: TestExec = Executor::new(
-            ExecutorConfig {
-                breaker_threshold: 1,
-                ..ExecutorConfig::default()
-            },
-            clock,
-        );
-        ex.submit("bomb", |_ctx| panic!("index out of bounds: simulated"));
-        ex.submit("survivor", ok_job(5));
-        let reports = ex.run_all();
-        std::panic::set_hook(hook);
-        match &reports[0].outcome {
-            JobOutcome::Panicked { what, attempts } => {
-                assert!(what.contains("index out of bounds"), "{what}");
-                assert_eq!(*attempts, 1);
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-        assert!(reports[1].outcome.is_success());
-        // Panics feed the breaker.
-        assert!(ex.is_quarantined("bomb"));
-    }
-
-    #[test]
-    fn degraded_success_is_flagged_not_failed() {
-        let clock = manual(0);
-        let mut ex: TestExec = Executor::new(ExecutorConfig::default(), clock);
-        ex.submit("big", |_ctx| {
-            Ok(JobSuccess {
-                value: 1,
-                degraded: true,
-            })
-        });
-        let reports = ex.run_all();
-        assert!(reports[0].outcome.is_success());
-        assert!(reports[0].outcome.is_degraded());
-        assert_eq!(reports[0].outcome.label(), "degraded");
-    }
-
-    #[test]
-    fn parallel_reports_in_submission_order() {
-        let clock = manual(0);
-        let mut ex: TestExec = Executor::new(ExecutorConfig::default(), clock);
-        for i in 0..8_u32 {
-            ex.submit(format!("job-{i}"), ok_job(i));
-        }
-        let reports = ex.run_parallel(3);
-        assert_eq!(reports.len(), 8);
-        for (i, r) in reports.iter().enumerate() {
-            assert_eq!(r.id, i);
-            assert_eq!(r.name, format!("job-{i}"));
-            assert_eq!(r.outcome, JobOutcome::Success(JobSuccess::full(i as u32)));
-        }
-    }
-
-    #[test]
-    fn parallel_breaker_folds_after_join() {
-        let clock = manual(0);
-        let mut ex: TestExec = Executor::new(
-            ExecutorConfig {
-                breaker_threshold: 1,
-                ..ExecutorConfig::default()
-            },
-            clock,
-        );
-        // Both instances of "bad" run (snapshot taken before the
-        // batch), but the name is quarantined for the NEXT batch.
-        ex.submit("bad", |_ctx| Err(JobFailure::permanent("no".to_owned())));
-        ex.submit("bad", |_ctx| Err(JobFailure::permanent("no".to_owned())));
-        let reports = ex.run_parallel(2);
-        assert!(reports
-            .iter()
-            .all(|r| matches!(r.outcome, JobOutcome::Failed { .. })));
-        assert!(ex.is_quarantined("bad"));
-        ex.submit("bad", ok_job(1));
-        let reports = ex.run_parallel(2);
-        assert!(matches!(reports[0].outcome, JobOutcome::Quarantined { .. }));
     }
 
     #[test]

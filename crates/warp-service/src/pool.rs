@@ -1,13 +1,14 @@
-//! The always-on concurrent executor: a shared work queue drained
-//! continuously by a worker pool.
+//! The job engine: a shared work queue drained continuously by a
+//! worker pool. It is the only thing in the workspace that runs jobs.
 //!
-//! Where [`Executor`](crate::Executor) is a *batch* engine — submit,
-//! then drain explicitly — a [`WorkerPool`] is a *service* engine:
-//! workers are spawned at construction and drain the queue the moment
+//! Workers are spawned at construction and drain the queue the moment
 //! jobs arrive, so [`WorkerPool::submit`] returns a job id immediately
 //! and results are delivered as they complete. Clients collect their
 //! own results with [`WorkerPool::wait`]; a multi-client daemon holds
-//! one pool and each client waits only for its own ids.
+//! one pool and each client waits only for its own ids. A batch is the
+//! same thing with a short-lived pool: [`WorkerPool::pause`], submit
+//! everything, [`WorkerPool::resume`], `wait` for the accepted ids,
+//! [`WorkerPool::shutdown`].
 //!
 //! Everything is plain `std::thread` + `Mutex`/`Condvar` on the
 //! injectable [`Clock`] — no async runtime.
@@ -39,12 +40,16 @@
 //! rejected submission produces no report and carries a retry-after
 //! hint instead.
 //!
-//! One deliberate policy difference from the batch executor: a job
-//! that was *externally cancelled* (`CancelReason::Cancelled` — e.g.
-//! an abandoning client) does **not** feed the circuit breaker. The
-//! program itself never failed; punishing its name would let an
-//! impatient client quarantine a healthy program. A
-//! `DeadlineExceeded` timeout still feeds the breaker, as before.
+//! # The breaker rule
+//!
+//! A finished job feeds its name's circuit breaker as follows: a
+//! success clears the history; a permanent failure, a panic, a wedge
+//! and a `DeadlineExceeded` timeout each count one; a transient
+//! failure (even after exhausting its retries), a quarantine refusal,
+//! and an *external cancellation* (`CancelReason::Cancelled` — e.g. an
+//! abandoning client or an aborted shutdown) count nothing. The
+//! program itself never failed in the last case; punishing its name
+//! would let an impatient client quarantine a healthy program.
 //!
 //! # Supervision
 //!
@@ -91,8 +96,8 @@ pub fn effective_workers(requested: usize) -> usize {
     .max(1)
 }
 
-/// Configuration of a [`WorkerPool`]: the shared executor knobs plus
-/// the pool size.
+/// Configuration of a [`WorkerPool`]: the job-engine knobs plus the
+/// pool size.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Queue, deadline, retry, breaker, and shed parameters.
@@ -197,10 +202,12 @@ struct PoolState<T, E> {
     /// Ids currently executing (status queries, abort-shutdown, and
     /// supervision).
     running: BTreeMap<usize, RunningJob>,
-    /// Name of every job ever admitted, by id (status after collect).
-    admitted_names: BTreeMap<usize, String>,
+    /// Ids admitted and not yet finished (queued or running). An id
+    /// below `next_id` that is neither here nor in `done` has been
+    /// collected, so nothing is kept per job once its report is taken.
+    pending: BTreeSet<usize>,
+    /// Finished reports waiting for [`WorkerPool::wait`].
     done: BTreeMap<usize, JobReport<T, E>>,
-    collected: BTreeSet<usize>,
     breaker: BTreeMap<String, BreakerState>,
     /// Worker serials presumed lost to a wedge. A zombie that comes
     /// back finds its serial here, discards its late report, and
@@ -244,6 +251,14 @@ impl<T, E> Shared<T, E> {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// The live worker handles (lock order: state, then threads —
+    /// never the reverse).
+    fn threads(&self) -> MutexGuard<'_, BTreeMap<usize, std::thread::JoinHandle<()>>> {
+        self.threads
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn is_quarantined_locked(&self, state: &PoolState<T, E>, name: &str) -> bool {
         self.config.breaker_threshold != 0
             && state
@@ -252,10 +267,27 @@ impl<T, E> Shared<T, E> {
                 .is_some_and(|b| b.consecutive >= self.config.breaker_threshold)
     }
 
-    /// Folds one finished job into the breaker. Same policy as the
-    /// batch executor except that an externally-cancelled job that
-    /// never ran (`Cancelled`, zero attempts) is ignored: the program
-    /// was not at fault.
+    /// Delivers one finished job's report, exactly once: folds it
+    /// into the breaker, counts it, moves its id from `pending` to
+    /// `done`, and wakes workers (a same-name successor may have become
+    /// dispatchable) and waiters.
+    fn complete_locked(&self, state: &mut PoolState<T, E>, report: JobReport<T, E>) {
+        self.absorb_locked(state, &report);
+        state.stats.completed += 1;
+        match &report.outcome {
+            JobOutcome::Panicked { .. } => state.stats.panicked += 1,
+            JobOutcome::Quarantined { .. } => state.stats.quarantined += 1,
+            JobOutcome::Wedged { .. } => state.stats.wedged += 1,
+            _ => {}
+        }
+        state.pending.remove(&report.id);
+        state.done.insert(report.id, report);
+        self.work.notify_all();
+        self.completions.notify_all();
+    }
+
+    /// Folds one finished job into the breaker (the module docs state
+    /// the rule).
     fn absorb_locked(&self, state: &mut PoolState<T, E>, report: &JobReport<T, E>) {
         if self.config.breaker_threshold == 0 {
             return;
@@ -343,20 +375,9 @@ fn worker_loop<T: Send, E: Send>(shared: &Shared<T, E>, serial: usize) {
             // queue. Discard the late report and exit quietly.
             break;
         }
-        shared.absorb_locked(&mut state, &report);
         state.running_names.remove(&q.name);
         state.running.remove(&q.id);
-        state.stats.completed += 1;
-        match &report.outcome {
-            JobOutcome::Panicked { .. } => state.stats.panicked += 1,
-            JobOutcome::Quarantined { .. } => state.stats.quarantined += 1,
-            _ => {}
-        }
-        state.done.insert(q.id, report);
-        // A same-name successor may have become dispatchable, and
-        // waiters may be watching for this id.
-        shared.work.notify_all();
-        shared.completions.notify_all();
+        shared.complete_locked(&mut state, report);
     }
     // This worker is exiting (shutdown or abandonment): wake siblings
     // and waiters so nobody sleeps through the state change.
@@ -410,9 +431,7 @@ fn scan_for_wedges<T: Send + 'static, E: Send + 'static>(shared: &Arc<Shared<T, 
             outcome: JobOutcome::Wedged { stalled_for_ticks },
             wall_ticks: stalled_for_ticks,
         };
-        shared.absorb_locked(&mut state, &report);
-        state.stats.completed += 1;
-        state.stats.wedged += 1;
+        shared.complete_locked(&mut state, report);
         // Respawn accounting is optimistic: the surgery below either
         // spawns the replacement or panics. Counting here — in the
         // same locked section that publishes the wedge — keeps
@@ -420,21 +439,13 @@ fn scan_for_wedges<T: Send + 'static, E: Send + 'static>(shared: &Arc<Shared<T, 
         // health signal) from transiently reading as a loss while the
         // replacement thread is mid-spawn.
         state.stats.respawned += 1;
-        state.done.insert(*id, report);
     }
-    // Freed names may unblock same-name successors; waiters may be
-    // watching the wedged ids.
-    shared.work.notify_all();
-    shared.completions.notify_all();
     drop(state);
 
     // Thread surgery happens outside the state lock (lock order:
     // state, then threads — never the reverse).
     {
-        let mut threads = shared
-            .threads
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut threads = shared.threads();
         for serial in lost_serials {
             // Detach the presumed-dead worker: drop its handle without
             // joining. If it is a true zombie it burns until process
@@ -485,8 +496,8 @@ fn supervisor_loop<T: Send + 'static, E: Send + 'static>(
     }
 }
 
-/// The always-on concurrent executor. See the module docs for the
-/// dispatch, determinism, and shutdown contracts.
+/// The job engine. See the module docs for the dispatch, determinism,
+/// and shutdown contracts.
 ///
 /// # Examples
 ///
@@ -532,9 +543,8 @@ impl<T: Send + 'static, E: Send + 'static> WorkerPool<T, E> {
                 queue: VecDeque::new(),
                 running_names: BTreeSet::new(),
                 running: BTreeMap::new(),
-                admitted_names: BTreeMap::new(),
+                pending: BTreeSet::new(),
                 done: BTreeMap::new(),
-                collected: BTreeSet::new(),
                 breaker: BTreeMap::new(),
                 abandoned: BTreeSet::new(),
                 wedged_names: BTreeSet::new(),
@@ -551,10 +561,7 @@ impl<T: Send + 'static, E: Send + 'static> WorkerPool<T, E> {
             next_serial: AtomicUsize::new(0),
         });
         {
-            let mut threads = shared
-                .threads
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut threads = shared.threads();
             for _ in 0..n_workers {
                 let (serial, handle) = spawn_worker(&shared);
                 threads.insert(serial, handle);
@@ -595,11 +602,7 @@ impl<T: Send + 'static, E: Send + 'static> WorkerPool<T, E> {
     /// wedged-and-detached workers plus respawns). Equals
     /// [`WorkerPool::workers`] whenever the supervisor keeps up.
     pub fn live_workers(&self) -> usize {
-        self.shared
-            .threads
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+        self.shared.threads().len()
     }
 
     /// The number of worker threads actually running (the *effective*
@@ -629,12 +632,11 @@ impl<T: Send + 'static, E: Send + 'static> WorkerPool<T, E> {
         }
         let id = state.next_id;
         state.next_id += 1;
-        let name = name.into();
         let token = CancelToken::new(self.shared.clock.clone());
-        state.admitted_names.insert(id, name.clone());
+        state.pending.insert(id);
         state.queue.push_back(QueuedJob {
             id,
-            name,
+            name: name.into(),
             token: token.clone(),
             job: Box::new(job),
         });
@@ -652,18 +654,8 @@ impl<T: Send + 'static, E: Send + 'static> WorkerPool<T, E> {
     pub fn wait(&self, ids: &[usize]) -> Vec<JobReport<T, E>> {
         let mut state = self.shared.lock();
         loop {
-            let outstanding = ids.iter().any(|id| {
-                *id < state.next_id && !state.done.contains_key(id) && !state.collected.contains(id)
-            });
-            if !outstanding {
-                let mut out = Vec::new();
-                for id in ids {
-                    if let Some(report) = state.done.remove(id) {
-                        state.collected.insert(*id);
-                        out.push(report);
-                    }
-                }
-                return out;
+            if !ids.iter().any(|id| state.pending.contains(id)) {
+                return ids.iter().filter_map(|id| state.done.remove(id)).collect();
             }
             state = self
                 .shared
@@ -676,14 +668,14 @@ impl<T: Send + 'static, E: Send + 'static> WorkerPool<T, E> {
     /// Where job `id` currently is, or `None` for an unknown id.
     pub fn state_of(&self, id: usize) -> Option<JobState> {
         let state = self.shared.lock();
-        if state.collected.contains(&id) {
-            Some(JobState::Collected)
-        } else if state.done.contains_key(&id) {
+        if state.done.contains_key(&id) {
             Some(JobState::Done)
         } else if state.running.contains_key(&id) {
             Some(JobState::Running)
-        } else if state.queue.iter().any(|q| q.id == id) {
+        } else if state.pending.contains(&id) {
             Some(JobState::Queued)
+        } else if id < state.next_id {
+            Some(JobState::Collected)
         } else {
             None
         }
@@ -793,7 +785,9 @@ impl<T: Send + 'static, E: Send + 'static> WorkerPool<T, E> {
         self.shared.lock().paused = false;
         self.shared.work.notify_all();
     }
+}
 
+impl<T, E> WorkerPool<T, E> {
     /// Stops the pool and joins every worker.
     ///
     /// `Drain` finishes all queued work first; `Abort` synthesizes a
@@ -813,17 +807,16 @@ impl<T: Send + 'static, E: Send + 'static> WorkerPool<T, E> {
                 q.token.cancel();
                 let report = JobReport {
                     id: q.id,
-                    name: q.name.clone(),
+                    name: q.name,
                     outcome: JobOutcome::TimedOut {
                         reason: CancelReason::Cancelled,
                         attempts: 0,
                     },
                     wall_ticks: 0,
                 };
-                // Cancelled-before-running: deliberately not fed to the
-                // breaker (see absorb_locked).
-                state.stats.completed += 1;
-                state.done.insert(q.id, report);
+                // Cancelled-before-running: counts nothing against the
+                // name (the breaker rule).
+                self.shared.complete_locked(&mut state, report);
             }
             // Running jobs observe the cancel at their next cooperative
             // poll and report TimedOut through the normal path.
@@ -855,10 +848,7 @@ fn join_pool_threads<T, E>(
         // Unsupervised pools keep the original contract: block until
         // every worker exits.
         let handles: Vec<_> = {
-            let mut threads = shared
-                .threads
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut threads = shared.threads();
             std::mem::take(&mut *threads).into_values().collect()
         };
         for handle in handles {
@@ -867,10 +857,7 @@ fn join_pool_threads<T, E>(
     } else {
         loop {
             let (finished, remaining) = {
-                let mut threads = shared
-                    .threads
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut threads = shared.threads();
                 let done: Vec<usize> = threads
                     .iter()
                     .filter(|(_, h)| h.is_finished())
@@ -903,29 +890,17 @@ fn join_pool_threads<T, E>(
 }
 
 impl<T, E> Drop for WorkerPool<T, E> {
-    /// Dropping without an explicit shutdown aborts: queued jobs get
-    /// their cancelled reports (unobservable at this point, but the
-    /// invariant holds) and workers are joined so no thread outlives
-    /// the pool.
+    /// Dropping without an explicit shutdown aborts, so no thread
+    /// outlives the pool; after one it finds nothing left to stop.
     fn drop(&mut self) {
-        let mut state = self.shared.lock();
-        if state.shutdown.is_none() {
-            state.shutdown = Some(ShutdownMode::Abort);
-        }
-        state.paused = false;
-        while let Some(q) = state.queue.pop_front() {
-            q.token.cancel();
-        }
-        self.shared.work.notify_all();
-        self.shared.completions.notify_all();
-        drop(state);
-        join_pool_threads(&self.shared, &self.supervisor);
+        self.shutdown(ShutdownMode::Abort);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backoff_ticks;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Barrier;
     use warp_common::ManualClock;
@@ -933,14 +908,28 @@ mod tests {
     type TestPool = WorkerPool<u32, String>;
 
     fn pool(workers: usize, exec: ExecutorConfig) -> TestPool {
+        pool_on(Arc::new(ManualClock::new(0)), workers, exec)
+    }
+
+    fn pool_on(clock: Arc<ManualClock>, workers: usize, exec: ExecutorConfig) -> TestPool {
         WorkerPool::new(
             PoolConfig {
                 exec,
                 workers,
                 ..PoolConfig::default()
             },
-            Arc::new(ManualClock::new(0)),
+            clock,
         )
+    }
+
+    /// Submits one job and returns its report.
+    fn run_one(
+        p: &TestPool,
+        name: &str,
+        job: impl Fn(&JobCtx) -> Result<JobSuccess<u32>, JobFailure<String>> + Send + Sync + 'static,
+    ) -> JobReport<u32, String> {
+        let id = p.submit(name, job).id().expect("accepted");
+        p.wait(&[id]).pop().expect("one report")
     }
 
     /// Polls until `id` is running (the dispatch itself is async).
@@ -1060,6 +1049,8 @@ mod tests {
         let stats = p.stats();
         assert_eq!(stats.shed, 2);
         assert!(stats.max_queue_depth <= 3);
+        // Capacity freed: a shed job is admissible on resubmit.
+        assert!(p.submit("j3", |_| Ok(JobSuccess::full(3))).is_accepted());
         p.shutdown(ShutdownMode::Drain);
     }
 
@@ -1095,8 +1086,17 @@ mod tests {
                     "quarantined"
                 ]
             );
+            assert_eq!(
+                reports[2].outcome,
+                JobOutcome::Quarantined {
+                    consecutive_failures: 2
+                }
+            );
             assert!(p.is_quarantined("bad"));
+            assert_eq!(p.quarantined_names(), ["bad"]);
+            // Operator override reopens the circuit.
             assert!(p.reset_breaker("bad"));
+            assert!(!p.is_quarantined("bad"));
             assert!(!p.reset_breaker("bad"), "second reset has no history");
             assert!(!p.reset_breaker("never-seen"));
             p.shutdown(ShutdownMode::Drain);
@@ -1117,9 +1117,13 @@ mod tests {
         else {
             panic!("accepted");
         };
+        let bystander = p
+            .submit("bystander", |_| Ok(JobSuccess::full(2)))
+            .id()
+            .unwrap();
         cancel.cancel();
         p.resume();
-        let reports = p.wait(&[id]);
+        let reports = p.wait(&[id, bystander]);
         assert_eq!(
             reports[0].outcome,
             JobOutcome::TimedOut {
@@ -1127,6 +1131,7 @@ mod tests {
                 attempts: 0
             }
         );
+        assert!(reports[1].outcome.is_success());
         assert!(
             !p.is_quarantined("healthy"),
             "an abandoning client must not quarantine a healthy name"
@@ -1220,7 +1225,6 @@ mod tests {
                 workers: 2,
                 supervise_grace_ticks: 100,
                 supervise_interval_ms: SUPERVISE_MANUAL,
-                ..PoolConfig::default()
             },
             clock.clone(),
         );
@@ -1352,7 +1356,13 @@ mod tests {
     fn panic_is_contained_and_counted() {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let p = pool(2, ExecutorConfig::default());
+        let p = pool(
+            2,
+            ExecutorConfig {
+                breaker_threshold: 1,
+                ..ExecutorConfig::default()
+            },
+        );
         let bomb = p
             .submit("bomb", |_| panic!("chaos: injected"))
             .id()
@@ -1360,9 +1370,218 @@ mod tests {
         let ok = p.submit("ok", |_| Ok(JobSuccess::full(1))).id().unwrap();
         let reports = p.wait(&[bomb, ok]);
         std::panic::set_hook(hook);
-        assert!(matches!(reports[0].outcome, JobOutcome::Panicked { .. }));
+        match &reports[0].outcome {
+            JobOutcome::Panicked { what, attempts } => {
+                assert!(what.contains("chaos: injected"), "{what}");
+                assert_eq!(*attempts, 1);
+            }
+            other => panic!("expected Panicked, got {other:?}"),
+        }
         assert!(reports[1].outcome.is_success());
         assert_eq!(p.stats().panicked, 1);
+        // Panics feed the breaker.
+        assert!(p.is_quarantined("bomb"));
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn wait_returns_reports_in_the_order_asked() {
+        let p = pool(3, ExecutorConfig::default());
+        let ids: Vec<usize> = (0..8_u32)
+            .map(|i| {
+                p.submit(format!("job-{i}"), move |_| Ok(JobSuccess::full(i)))
+                    .id()
+                    .unwrap()
+            })
+            .collect();
+        let reports = p.wait(&ids);
+        assert_eq!(reports.len(), 8);
+        for (i, r) in reports.iter().enumerate() {
+            assert_eq!(r.id, ids[i]);
+            assert_eq!(r.name, format!("job-{i}"));
+            assert_eq!(r.outcome, JobOutcome::Success(JobSuccess::full(i as u32)));
+        }
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn transient_failures_retry_with_deterministic_backoff() {
+        let config = ExecutorConfig {
+            max_attempts: 3,
+            ..ExecutorConfig::default()
+        };
+        let p = pool(1, config.clone());
+        let tries = Arc::new(AtomicU32::new(0));
+        let t = tries.clone();
+        let report = run_one(&p, "flaky", move |_| {
+            if t.fetch_add(1, Ordering::SeqCst) < 2 {
+                Err(JobFailure::transient("hiccup".to_owned()))
+            } else {
+                Ok(JobSuccess::full(7))
+            }
+        });
+        assert_eq!(report.outcome, JobOutcome::Success(JobSuccess::full(7)));
+        assert_eq!(tries.load(Ordering::SeqCst), 3);
+        // Wall time is exactly the two backoff sleeps — the ManualClock
+        // advances only inside sleep_ticks.
+        let expected = backoff_ticks(&config, "flaky", 1) + backoff_ticks(&config, "flaky", 2);
+        assert_eq!(report.wall_ticks, expected);
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn transient_exhaustion_reports_final_error() {
+        let p = pool(
+            1,
+            ExecutorConfig {
+                max_attempts: 2,
+                breaker_threshold: 1,
+                ..ExecutorConfig::default()
+            },
+        );
+        let report = run_one(&p, "flaky", |_| {
+            Err(JobFailure::transient("still down".to_owned()))
+        });
+        assert_eq!(
+            report.outcome,
+            JobOutcome::Failed {
+                kind: FailureKind::Transient,
+                error: "still down".to_owned(),
+                attempts: 2,
+            }
+        );
+        // Transient exhaustion does not feed the breaker.
+        assert!(!p.is_quarantined("flaky"));
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn deadline_ends_job_between_retries_with_structured_timeout() {
+        let p = pool(
+            1,
+            ExecutorConfig {
+                max_attempts: 10,
+                deadline_ticks: 3_000, // less than two backoff sleeps
+                ..ExecutorConfig::default()
+            },
+        );
+        let report = run_one(&p, "doomed", |_| {
+            Err(JobFailure::transient("flap".to_owned()))
+        });
+        match &report.outcome {
+            JobOutcome::TimedOut { reason, attempts } => {
+                assert!(
+                    matches!(reason, CancelReason::DeadlineExceeded { .. }),
+                    "{reason:?}"
+                );
+                assert!(*attempts >= 1 && *attempts < 10, "{attempts}");
+            }
+            other => panic!("expected TimedOut, got {other:?}"),
+        }
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn cooperative_job_observes_deadline_mid_attempt() {
+        // The job polls its token like the compiler's pass boundaries
+        // do; the auto-advancing clock makes each poll cost 100 ticks.
+        let p = pool_on(
+            Arc::new(ManualClock::with_auto_advance(0, 100)),
+            1,
+            ExecutorConfig {
+                deadline_ticks: 1_000,
+                ..ExecutorConfig::default()
+            },
+        );
+        let polls = Arc::new(AtomicU32::new(0));
+        let counter = polls.clone();
+        let report = run_one(&p, "spinner", move |ctx| loop {
+            counter.fetch_add(1, Ordering::SeqCst);
+            if let Err(reason) = ctx.cancel.check() {
+                return Err(JobFailure::timeout(reason.to_string()));
+            }
+        });
+        match &report.outcome {
+            JobOutcome::TimedOut { reason, attempts } => {
+                assert!(matches!(reason, CancelReason::DeadlineExceeded { .. }));
+                assert_eq!(*attempts, 1);
+            }
+            other => panic!("expected TimedOut, got {other:?}"),
+        }
+        // ~12 polls: each check reads the clock once. Bounded and
+        // deterministic either way.
+        assert!(polls.load(Ordering::SeqCst) < 20);
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn success_resets_breaker_history() {
+        let p = pool(
+            1,
+            ExecutorConfig {
+                breaker_threshold: 2,
+                ..ExecutorConfig::default()
+            },
+        );
+        let fail = |_: &JobCtx| Err(JobFailure::permanent("no".to_owned()));
+        let ids = [
+            p.submit("waver", fail).id().unwrap(),
+            p.submit("waver", |_| Ok(JobSuccess::full(1))).id().unwrap(),
+            p.submit("waver", fail).id().unwrap(),
+        ];
+        let reports = p.wait(&ids);
+        // fail, success (resets), fail: never reaches 2 consecutive.
+        assert!(!p.is_quarantined("waver"));
+        assert!(reports[1].outcome.is_success());
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn degraded_success_is_flagged_not_failed() {
+        let p = pool(1, ExecutorConfig::default());
+        let report = run_one(&p, "big", |_| {
+            Ok(JobSuccess {
+                value: 1,
+                degraded: true,
+            })
+        });
+        assert!(report.outcome.is_success());
+        assert!(report.outcome.is_degraded());
+        assert_eq!(report.outcome.label(), "degraded");
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn bookkeeping_is_bounded_by_jobs_in_flight() {
+        // Nothing the pool keeps per job may outlive the job's report:
+        // after any number of submit/wait rounds the id maps are empty.
+        let per_job_state = |p: &TestPool| {
+            let state = p.shared.lock();
+            state.queue.len() + state.running.len() + state.pending.len() + state.done.len()
+        };
+        let p = pool(2, ExecutorConfig::default());
+        let mut last = 0;
+        for rounds in [10_u32, 1_000] {
+            for i in 0..rounds {
+                let a = p
+                    .submit("a", move |_| Ok(JobSuccess::full(i)))
+                    .id()
+                    .unwrap();
+                let b = p
+                    .submit("b", move |_| Ok(JobSuccess::full(i)))
+                    .id()
+                    .unwrap();
+                assert_eq!(p.wait(&[a, b]).len(), 2);
+                last = b;
+            }
+            assert_eq!(per_job_state(&p), 0, "after {rounds} rounds");
+        }
+        // The lifecycle queries still answer from `next_id` alone.
+        assert_eq!(p.state_of(0), Some(JobState::Collected));
+        assert_eq!(p.state_of(last), Some(JobState::Collected));
+        assert_eq!(p.state_of(last + 1), None);
+        assert!(p.wait(&[0, last, last + 1]).is_empty());
+        assert!(p.jobs_in_flight().is_empty());
         p.shutdown(ShutdownMode::Drain);
     }
 }

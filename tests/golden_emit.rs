@@ -43,8 +43,12 @@ fn w2c() -> Command {
 /// `compile time` line removed. `extra` is appended to the argument
 /// list (e.g. `--no-pipeline` for the list-scheduled baseline).
 fn emit(corpus_file: &str, extra: &[&str]) -> String {
-    let src = format!("{}/corpus/{corpus_file}", env!("CARGO_MANIFEST_DIR"));
+    // `w2c` echoes the path it was given into line 1 of the listing, so
+    // pass it relative to the checkout: the snapshots then hold in any
+    // checkout directory.
+    let src = format!("corpus/{corpus_file}");
     let out = w2c()
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
         .args([src.as_str(), "--emit", "cell", "--emit", "iu"])
         .args(extra)
         .output()

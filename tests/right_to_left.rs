@@ -41,7 +41,7 @@ fn oracle_agrees_right_to_left() {
     let xs: Vec<f32> = (0..8).map(|i| (i * i) as f32).collect();
     let mut host = warp::host::HostMemory::new(&m.ir.vars);
     host.set("xs", &xs).expect("xs binds");
-    let want = warp::compiler::oracle::interpret(&hir, &host).expect("oracle");
+    let want = warp::oracle::interpret(&hir, &host).expect("oracle");
     let got = m.run(&[("xs", &xs)]).expect("runs");
     assert_eq!(got.host.get("ys").unwrap(), want.get("ys").unwrap());
 }
