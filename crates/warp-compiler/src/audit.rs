@@ -29,7 +29,7 @@ use crate::{corpus, CompileOptions, CompiledModule};
 use std::fmt;
 use w2_lang::hir::VarKind;
 use warp_common::DiagnosticBag;
-use warp_host::HostWordSource;
+use warp_host::HostWord;
 use warp_sim::{splitmix64, Fault, FaultPlan, SimError, SimOptions};
 
 /// Options for one audit.
@@ -150,10 +150,10 @@ pub fn seeded_inputs(module: &CompiledModule, seed: u64) -> Vec<(String, Vec<f32
         .host
         .inputs
         .values()
-        .flatten()
+        .flat_map(|script| script.leaves())
         .filter_map(|w| match w {
-            HostWordSource::Elem { var, .. } => Some(*var),
-            HostWordSource::Lit(_) => None,
+            HostWord::Elem { var, .. } => Some(*var),
+            HostWord::Lit(_) => None,
         })
         .collect();
     input_vars.sort();
@@ -392,11 +392,12 @@ pub fn audit(module: &CompiledModule, opts: &AuditOptions) -> AuditReport {
 
     // The first word sent on the output-bearing channel is live: it
     // either feeds a downstream cell or is the first host result.
+    let is_bound = |w: &HostWord| matches!(w, HostWord::Elem { .. });
     let output_chan = module
         .host
         .outputs
         .iter()
-        .find(|(_, sinks)| sinks.iter().any(Option::is_some))
+        .find(|(_, sinks)| sinks.leaves().into_iter().any(is_bound))
         .map(|(chan, _)| *chan);
     checks.push(match output_chan {
         None => CheckOutcome::skip(
@@ -428,7 +429,8 @@ pub fn audit(module: &CompiledModule, opts: &AuditOptions) -> AuditReport {
         .host
         .outputs
         .iter()
-        .find(|(_, sinks)| sinks.last().is_some_and(Option::is_some))
+        // The last leaf of the nest is the last word it transfers.
+        .find(|(_, sinks)| sinks.leaves().last().is_some_and(|w| is_bound(w)))
         .map(|(chan, sinks)| (*chan, u64::from(module.n_cells) * sinks.len() as u64 - 1));
     checks.push(match corrupt_target {
         None => CheckOutcome::skip(

@@ -52,8 +52,9 @@ use crate::{passes, CompileFailure, CompiledModule, Metrics};
 /// Schema version of the serialized artifact payload. Bump whenever
 /// any wire impl reachable from [`CompiledModule`] changes (field
 /// order, enum tags, pass names): old records then quarantine as
-/// stale instead of misdecoding.
-pub const STORE_SCHEMA_VERSION: u16 = 1;
+/// stale instead of misdecoding. Version 2: host scripts are loop
+/// nests, not per-word lists.
+pub const STORE_SCHEMA_VERSION: u16 = 2;
 
 /// File extension of persisted artifacts.
 pub const ARTIFACT_EXT: &str = "wart";
@@ -717,17 +718,21 @@ mod tests {
     fn stale_schema_quarantines_on_reopen() {
         let vfs = MemVfs::new();
         let vfs_dyn: &dyn Vfs = &vfs;
-        let path = PathBuf::from(format!("/store/{}.{ARTIFACT_EXT}", key_of(9)));
-        let old = record::encode(
-            STORE_SCHEMA_VERSION.wrapping_add(1),
-            b"payload from the future",
-        );
         vfs_dyn.create_dir_all(Path::new("/store")).unwrap();
-        vfs_dyn.write(&path, &old).unwrap();
+        // A record of the per-word-list schema and one from the future.
+        for (key, version) in [(8, 1), (9, STORE_SCHEMA_VERSION + 1)] {
+            let path = PathBuf::from(format!("/store/{}.{ARTIFACT_EXT}", key_of(key)));
+            let stale = record::encode(version, b"payload of another schema");
+            vfs_dyn.write(&path, &stale).unwrap();
+        }
         let store = mem_store(&vfs, 0);
         let s = store.stats();
-        assert_eq!((s.recovered, s.quarantined), (0, 1));
+        assert_eq!((s.recovered, s.quarantined), (0, 2));
         assert_eq!(vfs.file_count(), 0);
+        assert!(
+            store.get(key_of(8)).is_none(),
+            "a miss: the caller recompiles"
+        );
     }
 
     #[test]

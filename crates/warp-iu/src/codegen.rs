@@ -491,15 +491,20 @@ fn fill_table(
                 idx += 1;
             }
             CodeRegion::Loop { id, count, body } => {
-                let lo = ir.loops[*id].lo;
-                let mut after = idx;
-                for iter in 0..*count {
-                    env.insert(*id, lo + iter as i64);
-                    after = fill_table(body, ir, flat, table_slots, env, idx, table)?;
-                }
-                env.remove(id);
-                if *count == 0 {
-                    after = idx + count_static_blocks(body);
+                let after = idx + count_static_blocks(body);
+                // Most loops hold no table slot (most programs have no
+                // table at all): skip their iterations, not walk them.
+                if table_slots[idx..after]
+                    .iter()
+                    .flatten()
+                    .any(Option::is_some)
+                {
+                    let lo = ir.loops[*id].lo;
+                    for iter in 0..*count {
+                        env.insert(*id, lo + iter as i64);
+                        fill_table(body, ir, flat, table_slots, env, idx, table)?;
+                    }
+                    env.remove(id);
                 }
                 idx = after;
             }

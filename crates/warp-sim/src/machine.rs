@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use w2_lang::ast::{Chan, Dir};
 use warp_cell::{AddrSource, CellCode, CellMachine};
 use warp_common::{CancelToken, RingQueue};
-use warp_host::{HostMemory, HostProgram, HostWordSource};
+use warp_host::{HostMemory, HostProgram, HostWord};
 use warp_ir::CmpOp;
 use warp_iu::{Emission, IuProgram};
 
@@ -365,11 +365,15 @@ fn run_impl<const INSTRUMENTED: bool>(
     // Boundary input: the host sustains full bandwidth (paper §2.1), so
     // the input stream is modeled as a pre-filled stream and a cursor.
     let mut boundary_in: [Vec<f32>; 2] = [Vec::new(), Vec::new()];
-    for (chan, sources) in &cfg.host_program.inputs {
-        boundary_in[chan_idx(*chan)].extend(sources.iter().map(|s| match *s {
-            HostWordSource::Lit(v) => v,
-            HostWordSource::Elem { var, index } => host.word(var, index),
-        }));
+    for (chan, script) in &cfg.host_program.inputs {
+        let words = &mut boundary_in[chan_idx(*chan)];
+        words.reserve(script.len());
+        script.for_each(|source, index| {
+            words.push(match source {
+                HostWord::Lit(v) => *v,
+                HostWord::Elem { var, .. } => host.word(*var, index),
+            });
+        });
     }
     for fault in &plan.faults {
         if let Fault::TruncateInput { chan, keep } = fault {
@@ -378,8 +382,8 @@ fn run_impl<const INSTRUMENTED: bool>(
     }
     let mut in_next = [0usize; 2];
     let mut boundary_out: [Vec<f32>; 2] = [Vec::new(), Vec::new()];
-    for (chan, sinks) in &cfg.host_program.outputs {
-        boundary_out[chan_idx(*chan)].reserve(sinks.len());
+    for (chan, script) in &cfg.host_program.outputs {
+        boundary_out[chan_idx(*chan)].reserve(script.len());
     }
 
     let span = cfg.cell_code.dynamic_len();
@@ -590,21 +594,23 @@ fn run_impl<const INSTRUMENTED: bool>(
 
     // Deliver collected boundary output to host memory.
     let mut words_out = 0u64;
-    for (chan, sinks) in &cfg.host_program.outputs {
+    for (chan, script) in &cfg.host_program.outputs {
         let collected = &boundary_out[chan_idx(*chan)];
-        if collected.len() != sinks.len() {
+        if collected.len() != script.len() {
             fail!(SimError::OutputCountMismatch {
                 chan: *chan,
-                expected: sinks.len(),
+                expected: script.len(),
                 got: collected.len(),
             });
         }
-        for (sink, &v) in sinks.iter().zip(collected) {
-            words_out += 1;
-            if let Some((var, index)) = sink {
-                host.set_word(*var, *index, v);
+        words_out += collected.len() as u64;
+        let mut arrived = collected.iter();
+        script.for_each(|sink, index| {
+            let v = *arrived.next().expect("one word per script word");
+            if let HostWord::Elem { var, .. } = sink {
+                host.set_word(*var, index, v);
             }
-        }
+        });
     }
 
     let out_streams = boundary_out

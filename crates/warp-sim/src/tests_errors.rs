@@ -37,6 +37,13 @@ fn no_iu() -> IuProgram {
     IuProgram::default()
 }
 
+/// An output script that receives `words` words and stores none.
+fn discards(words: u64) -> warp_host::HostScript {
+    let body = vec![warp_host::HostNode::Word(warp_host::HostWord::Lit(0.0))];
+    let nodes = vec![warp_host::HostNode::Loop { count: words, body }];
+    warp_host::HostScript::new(nodes).expect("a valid nest")
+}
+
 fn cfg<'a>(
     code: &'a CellCode,
     iu: &'a IuProgram,
@@ -177,10 +184,8 @@ fn output_count_mismatch_detected() {
     // The host program expects one word; the array sends none.
     let code = one_block(vec![MicroInst::default()]);
     let iu = no_iu();
-    let hp = warp_host::HostProgram {
-        outputs: [(Chan::X, vec![None])].into_iter().collect(),
-        ..warp_host::HostProgram::default()
-    };
+    let mut hp = warp_host::HostProgram::default();
+    hp.outputs.insert(Chan::X, discards(1));
     let machine = CellMachine::default();
     let err = run(&cfg(&code, &iu, &hp, &machine), empty_host()).unwrap_err();
     assert!(matches!(err, SimError::OutputCountMismatch { .. }), "{err}");
@@ -677,7 +682,7 @@ fn writeback_timing_respects_latency() {
     let code = one_block(insts);
     let iu = no_iu();
     let mut hp = warp_host::HostProgram::default();
-    hp.outputs.insert(Chan::X, vec![None, None]);
+    hp.outputs.insert(Chan::X, discards(2));
     let machine = CellMachine::default();
     // Collect via trace.
     let mut events = Vec::new();

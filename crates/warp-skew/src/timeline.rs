@@ -10,7 +10,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use w2_lang::ast::{Chan, Dir};
 use w2_lang::hir::VarId;
-use warp_cell::{CellCode, CodeRegion};
+use warp_cell::{io_index, CellCode, CodeRegion, IoEvent};
+use warp_common::idvec::Id as _;
 use warp_common::{CancelReason, CancelToken, IdVec};
 use warp_ir::affine::LoopId;
 use warp_ir::region::LoopMeta;
@@ -86,54 +87,61 @@ pub fn try_visit_events<E>(
     loops: &IdVec<LoopId, LoopMeta>,
     mut f: impl FnMut(&TimedIo) -> Result<(), E>,
 ) -> Result<(), E> {
-    let mut env: BTreeMap<LoopId, i64> = BTreeMap::new();
-    let mut t = 0u64;
-    for region in &code.regions {
-        try_visit_region(region, loops, &mut env, &mut t, &mut f)?;
-    }
-    Ok(())
+    walk_events(code, loops, |time, e, env| {
+        let host = e.ext.as_ref().map(|slot| match slot {
+            HostSlot::Lit(v) => HostBinding::Lit(*v),
+            HostSlot::Elem { var, index } => {
+                let terms = index.terms.iter().map(|(l, c)| c * env[l.index()]);
+                HostBinding::Elem(*var, index.constant + terms.sum::<i64>())
+            }
+        });
+        f(&TimedIo {
+            time,
+            dir: e.dir,
+            chan: e.chan,
+            is_recv: e.is_recv,
+            host,
+        })
+    })
 }
 
-fn try_visit_region<E>(
-    region: &CodeRegion,
+/// Calls `f(cycle, event, env)` for every dynamic I/O operation in
+/// execution order; `env[l.index()]` is the current index value of an
+/// enclosing loop `l`. Host bindings are left unevaluated, so a caller
+/// that only reads times pays nothing for them.
+fn walk_events<E>(
+    code: &CellCode,
     loops: &IdVec<LoopId, LoopMeta>,
-    env: &mut BTreeMap<LoopId, i64>,
-    t: &mut u64,
-    f: &mut impl FnMut(&TimedIo) -> Result<(), E>,
+    mut f: impl FnMut(u64, &IoEvent, &[i64]) -> Result<(), E>,
 ) -> Result<(), E> {
-    match region {
-        CodeRegion::Block(b) => {
-            for e in &b.io_events {
-                let host = e.ext.as_ref().map(|slot| match slot {
-                    HostSlot::Lit(v) => HostBinding::Lit(*v),
-                    HostSlot::Elem { var, index } => HostBinding::Elem(*var, index.eval(env)),
-                });
-                f(&TimedIo {
-                    time: *t + u64::from(e.cycle),
-                    dir: e.dir,
-                    chan: e.chan,
-                    is_recv: e.is_recv,
-                    host,
-                })?;
-            }
-            *t += u64::from(b.len());
-        }
-        CodeRegion::Loop { id, count, body } => {
-            let lo = loops[*id].lo;
-            for iter in 0..*count {
-                env.insert(*id, lo + iter as i64);
-                for r in body {
-                    let res = try_visit_region(r, loops, env, t, f);
-                    if res.is_err() {
-                        env.remove(id);
-                        return res;
+    fn walk<E>(
+        regions: &[CodeRegion],
+        loops: &IdVec<LoopId, LoopMeta>,
+        env: &mut [i64],
+        t: &mut u64,
+        f: &mut impl FnMut(u64, &IoEvent, &[i64]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for region in regions {
+            match region {
+                CodeRegion::Block(b) => {
+                    for e in &b.io_events {
+                        f(*t + u64::from(e.cycle), e, env)?;
+                    }
+                    *t += u64::from(b.len());
+                }
+                CodeRegion::Loop { id, count, body } => {
+                    let lo = loops[*id].lo;
+                    for iter in 0..*count {
+                        env[id.index()] = lo + iter as i64;
+                        walk(body, loops, env, t, f)?;
                     }
                 }
             }
-            env.remove(id);
         }
+        Ok(())
     }
-    Ok(())
+    let mut env = vec![0i64; loops.len()];
+    walk(&code.regions, loops, &mut env, &mut 0, &mut f)
 }
 
 /// Send and receive times per `(direction, channel)`.
@@ -174,7 +182,9 @@ impl Timeline {
             ..Timeline::default()
         };
         let mut seen = 0u64;
-        try_visit_events(code, loops, |e| {
+        // Times by [is_recv][I/O port]: no map lookup per event.
+        let mut lanes: [[Vec<u64>; 4]; 2] = Default::default();
+        walk_events(code, loops, |time, e, _| {
             seen += 1;
             if max_events != 0 && seen > max_events {
                 return Err(EnumStop::Budget);
@@ -182,14 +192,19 @@ impl Timeline {
             if seen.is_multiple_of(POLL_EVERY) {
                 cancel.check().map_err(EnumStop::Cancelled)?;
             }
-            let map = if e.is_recv {
-                &mut tl.recvs
-            } else {
-                &mut tl.sends
-            };
-            map.entry((e.dir, e.chan)).or_default().push(e.time);
+            lanes[usize::from(e.is_recv)][io_index(e.dir, e.chan)].push(time);
             Ok(())
         })?;
+        for dir in [Dir::Left, Dir::Right] {
+            for chan in [Chan::X, Chan::Y] {
+                for (map, ports) in [&mut tl.sends, &mut tl.recvs].into_iter().zip(&mut lanes) {
+                    let times = std::mem::take(&mut ports[io_index(dir, chan)]);
+                    if !times.is_empty() {
+                        map.insert((dir, chan), times);
+                    }
+                }
+            }
+        }
         Ok(tl)
     }
 

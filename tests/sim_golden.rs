@@ -23,7 +23,7 @@ use warp::common::hash::StableHasher;
 use warp::common::{CancelToken, ManualClock};
 use warp::compiler::audit::seeded_inputs;
 use warp::compiler::{CompileOptions, CompiledModule, Session, SessionCtrl};
-use warp::host::{HostMemory, HostProgram, HostWordSource};
+use warp::host::{HostMemory, HostNode, HostProgram, HostScript, HostWord};
 use warp::iu::IuProgram;
 use warp::sim::{
     run_traced, Fault, FaultPlan, FaultReport, MachineConfig, RunReport, SimError, SimOptions,
@@ -498,11 +498,13 @@ fn send_and_receive_every_cycle(skew: i64) -> Result<RunReport, SimError> {
         regs_used: 1,
         scratch_words: 0,
     };
+    let six = |word| {
+        let body = vec![HostNode::Word(word)];
+        HostScript::new(vec![HostNode::Loop { count: 6, body }]).expect("a valid nest")
+    };
     let host_program = HostProgram {
-        inputs: [(Chan::X, vec![HostWordSource::Lit(2.0); 6])]
-            .into_iter()
-            .collect(),
-        outputs: [(Chan::X, vec![None; 6])].into_iter().collect(),
+        inputs: [(Chan::X, six(HostWord::Lit(2.0)))].into(),
+        outputs: [(Chan::X, six(HostWord::Lit(0.0)))].into(),
     };
     let machine = CellMachine {
         queue_capacity: 2,
