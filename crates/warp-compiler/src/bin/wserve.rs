@@ -1,231 +1,87 @@
-//! `wserve` — the seeded chaos/soak harness for the compile service.
+//! `wserve` — the seeded chaos scenarios for the compile service.
 //!
 //! ```text
-//! wserve [--seed N] [--jobs N] [--workers N] [--poison-per-mille N]
-//!        [--queue-capacity N] [--breaker-threshold N]
-//!        [--clock manual|system] [--out FILE] [--check-determinism]
-//! wserve --crash-soak [--seed N] [--lives N] [--requests-per-life N]
-//!        [--store-bytes N] [--out FILE] [--check-determinism]
+//! wserve              [--seed N] [--jobs N] [--workers N] [--poison-per-mille N]
 //! wserve --wedge-soak [--seed N] [--jobs N] [--workers N]
-//!        [--wedge-per-mille N] [--native-per-mille N] [--grace-ticks N]
-//!        [--queue-capacity N] [--breaker-threshold N]
-//!        [--clock manual|system] [--out FILE] [--check-determinism]
+//! wserve --crash-soak [--seed N]
+//!        ... [--check-determinism]
 //! ```
 //!
-//! Drives a live `CompileDaemon` with a deterministic Zipfian load mix
-//! and a seeded poison fraction (syntax crashers, injected panics,
-//! cancel bombs), probes shed rates at 1×/4×/16× overload, aborts a
-//! final wave mid-flight, and writes the machine-readable report to
-//! `--out` (default `BENCH_serve.json`).
+//! The default scenario is the chaos soak: a live `CompileDaemon`
+//! under a deterministic Zipfian load mix with a seeded poison
+//! fraction (syntax crashers, injected panics, cancel bombs), shed
+//! probes at 1×/4×/16× overload, and a final wave aborted mid-flight.
 //!
-//! `--clock manual` (the default) runs on a `ManualClock` whose only
-//! time source is the seeded arrival jitter, so the whole run —
-//! including every latency figure — is a pure function of the seed.
-//! `--clock system` measures real wall-clock latency instead.
+//! `--wedge-soak` runs the wedge storm against the heartbeat
+//! supervisor: jobs that spin without polling cancellation (once or
+//! on every run) plus injected native-backend faults. Every stalled
+//! job must be detected, reported exactly once as `wedged`, and its
+//! worker replaced; previously-wedged names escalate through the
+//! `SIGKILL`able subprocess rung (hard wedges end quarantined,
+//! transient ones recover); native faults are re-served by the sim
+//! fallback.
 //!
-//! `--check-determinism` runs the same seeded soak twice and requires
-//! the sorted per-job `(name, outcome)` sets to be identical — the
-//! loom-free concurrency-determinism guard the CI `serve-soak` job
-//! enforces.
+//! `--crash-soak` runs the durability scenario: a persistent artifact
+//! store is killed at a seeded crash-point each simulated process
+//! lifetime (plus seeded torn writes, bit flips, and `ENOSPC`),
+//! restarted, and checked — no corrupt artifact is ever served
+//! (bitwise against fresh compiles) and recovery is total.
 //!
-//! `--wedge-soak` runs the supervision soak: a seeded wedge storm
-//! (jobs that spin without polling cancellation, once or on every
-//! run, plus injected native-backend faults) against the heartbeat
-//! supervisor. It checks that every stalled job is detected within
-//! the grace, reported exactly once as `wedged`, its worker replaced;
-//! that previously-wedged names escalate through the `SIGKILL`able
-//! subprocess rung (hard wedges end quarantined, transient ones
-//! recover); and that native faults are transparently re-served by
-//! the sim fallback. The report lands in `BENCH_supervise.json` by
-//! default.
-//!
-//! `--crash-soak` runs the durability soak instead: a persistent
-//! artifact store is killed at a seeded crash-point each simulated
-//! process lifetime (plus seeded torn writes, bit flips, and
-//! `ENOSPC`), restarted, and checked — no corrupt artifact is ever
-//! served (bitwise against fresh compiles), recovery is total, and
-//! the warm hit rate plus cold-vs-warm restart latency land in the
-//! report JSON.
-//!
-//! Exit code is non-zero on any invariant violation (lost or
-//! duplicated response, rejection without a retry hint, queue
-//! overflow, collateral quarantine, corrupt artifact served, lost
-//! store entry) or determinism mismatch.
+//! Every scenario runs on a manual clock, prints its verdict as
+//! `key=value` counters, and writes no file. `--check-determinism`
+//! runs the same seed twice and requires identical verdicts. Exit code
+//! is non-zero on any invariant violation (lost or duplicated
+//! response, rejection without a retry hint, queue overflow, lost
+//! worker, collateral quarantine, corrupt artifact served, lost store
+//! entry), on a run that proved nothing (no wedge injected, no
+//! crash-point fired), or on a determinism mismatch.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use warp_common::{Clock, ManualClock, SystemClock};
-use warp_compiler::crash::{run_crash_soak, CrashSoakConfig};
+use warp_compiler::crash::{run_crash_soak, CrashSoakConfig, CRASH_FLOORS};
 use warp_compiler::isolate;
-use warp_compiler::soak::{run_soak, SoakConfig};
-use warp_compiler::supervise::{run_wedge_soak, WedgeSoakConfig};
+use warp_compiler::scenario::{
+    run_soak, run_wedge_soak, SoakConfig, Verdict, WedgeSoakConfig, SOAK_FLOORS, WEDGE_FLOORS,
+};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: wserve [--seed N] [--jobs N] [--workers N] [--poison-per-mille N]\n\
-         \x20             [--queue-capacity N] [--breaker-threshold N]\n\
-         \x20             [--clock manual|system] [--out FILE] [--check-determinism]\n\
-         \x20      wserve --crash-soak [--seed N] [--lives N] [--requests-per-life N]\n\
-         \x20             [--store-bytes N] [--out FILE] [--check-determinism]\n\
-         \x20      wserve --wedge-soak [--seed N] [--jobs N] [--workers N]\n\
-         \x20             [--wedge-per-mille N] [--native-per-mille N] [--grace-ticks N]\n\
-         \x20             [--queue-capacity N] [--breaker-threshold N]\n\
-         \x20             [--clock manual|system] [--out FILE] [--check-determinism]"
+        "usage: wserve [--wedge-soak | --crash-soak] [--seed N] [--jobs N] [--workers N]\n\
+         \x20             [--poison-per-mille N] [--check-determinism]"
     );
     std::process::exit(2)
 }
 
-fn run_crash_mode(
-    config: &CrashSoakConfig,
-    out_path: &std::path::Path,
+/// Runs `scenario` (twice under `check_determinism`), prints its
+/// counters, and turns [`Verdict::failures`] into the exit code.
+fn run(
+    name: &str,
+    seed: u64,
+    floors: &[&str],
     check_determinism: bool,
+    scenario: impl Fn() -> Verdict,
 ) -> ExitCode {
-    let report = run_crash_soak(config);
-    let determinism_ok = !check_determinism || {
-        let second = run_crash_soak(config);
-        second.identity() == report.identity() && second.violations == report.violations
-    };
+    let verdict = scenario();
+    let rerun = check_determinism.then(&scenario);
 
-    println!(
-        "crash soak: seed={} lives={} crash-points-fired={} served={} corrupt-served={}",
-        config.seed, config.lives, report.crash_points_fired, report.served, report.corrupt_served,
-    );
-    println!(
-        "      recovered={} quarantined={} tmp-cleaned={} disk-hits={} compiles={} \
-         put-failures={}",
-        report.recovered_total,
-        report.quarantined_total,
-        report.tmp_cleaned_total,
-        report.disk_hits,
-        report.compiles,
-        report.put_failures,
-    );
-    println!(
-        "      faults: torn={} flips={} enospc={}; warm-hit-rate={:.2} \
-         cold={}us warm={}us ttl-expired={}",
-        report.faults.torn_writes,
-        report.faults.bit_flips,
-        report.faults.no_space,
-        report.warm_hit_rate,
-        report.cold_mean_us,
-        report.warm_mean_us,
-        report.ttl_expired,
-    );
+    let counters: Vec<String> = verdict
+        .counters
+        .iter()
+        .map(|(key, n)| format!("{key}={n}"))
+        .collect();
+    println!("{name}: seed={seed} {}", counters.join(" "));
 
-    if let Err(e) = std::fs::write(out_path, report.to_json()) {
-        eprintln!("cannot write `{}`: {e}", out_path.display());
+    let failures = verdict.failures(floors, rerun.as_ref());
+    for failure in &failures {
+        eprintln!("FAIL: {failure}");
+    }
+    if !failures.is_empty() {
         return ExitCode::FAILURE;
     }
-    println!("wrote {}", out_path.display());
-
-    let mut failed = false;
-    for v in &report.violations {
-        eprintln!("FAIL: {v}");
-        failed = true;
-    }
-    if report.crash_points_fired == 0 && config.lives > 0 {
-        eprintln!("FAIL: no crash-point ever fired — the soak proved nothing");
-        failed = true;
-    }
     if check_determinism {
-        if determinism_ok {
-            println!("determinism: two runs with seed {} agree", config.seed);
-        } else {
-            eprintln!(
-                "FAIL: two runs with seed {} produced different crash-soak identities",
-                config.seed
-            );
-            failed = true;
-        }
+        println!("determinism: two runs with seed {seed} agree");
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn run_wedge_mode(
-    config: &WedgeSoakConfig,
-    out_path: &std::path::Path,
-    check_determinism: bool,
-    make_clock: impl Fn() -> Arc<dyn Clock>,
-) -> ExitCode {
-    let report = run_wedge_soak(config, make_clock());
-    let determinism_ok = !check_determinism || {
-        let second = run_wedge_soak(config, make_clock());
-        second.identity() == report.identity() && second.violations == report.violations
-    };
-
-    println!(
-        "wedge soak: seed={} workers={} jobs={} wedge-injected={} native-injected={} shed={}",
-        config.seed,
-        config.workers,
-        config.jobs,
-        report.wedge_injected,
-        report.native_injected,
-        report.shed,
-    );
-    println!(
-        "      wedges-detected={} respawned={} workers-lost={} live-workers={} \
-         native-fallbacks={}",
-        report.wedges_detected,
-        report.respawned,
-        report.wedges_detected.saturating_sub(report.respawned),
-        report.live_workers_end,
-        report.native_fallbacks,
-    );
-    println!(
-        "      escalations: probed={} recovered={} quarantined={:?}",
-        report.escalations_probed, report.escalations_recovered, report.quarantined,
-    );
-    println!(
-        "      wedge-detect p50={} p99={} ticks; healthy p50={} p99={} ticks",
-        report.wedge_detect_p50_ticks,
-        report.wedge_detect_p99_ticks,
-        report.healthy_p50_ticks,
-        report.healthy_p99_ticks,
-    );
-
-    if let Err(e) = std::fs::write(out_path, report.to_json()) {
-        eprintln!("cannot write `{}`: {e}", out_path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out_path.display());
-
-    let mut failed = false;
-    for v in &report.violations {
-        eprintln!("FAIL: {v}");
-        failed = true;
-    }
-    if report.wedge_injected == 0 && config.jobs > 0 {
-        eprintln!("FAIL: no wedge ever fired — the soak proved nothing");
-        failed = true;
-    }
-    if report.wedges_detected != report.respawned {
-        eprintln!(
-            "FAIL: {} unrecovered wedge(s)",
-            report.wedges_detected.saturating_sub(report.respawned)
-        );
-        failed = true;
-    }
-    if check_determinism {
-        if determinism_ok {
-            println!("determinism: two runs with seed {} agree", config.seed);
-        } else {
-            eprintln!(
-                "FAIL: two runs with seed {} produced different wedge-soak identities",
-                config.seed
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    ExitCode::SUCCESS
 }
 
 fn parse_num<T: std::str::FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> T {
@@ -240,39 +96,21 @@ fn parse_num<T: std::str::FromStr>(flag: &str, args: &mut impl Iterator<Item = S
 }
 
 fn main() -> ExitCode {
-    // When re-exec'd as a hard-isolation child (the wedge soak's
+    // When re-exec'd as a hard-isolation child (the wedge storm's
     // escalation rung re-execs this binary) this never returns.
     isolate::maybe_run_child();
 
     let mut config = SoakConfig::default();
-    let mut crash_config = CrashSoakConfig::default();
     let mut wedge_config = WedgeSoakConfig::default();
+    let mut crash_config = CrashSoakConfig::default();
     let mut crash_mode = false;
     let mut wedge_mode = false;
-    let mut out_path: Option<std::path::PathBuf> = None;
-    let mut grace_set = false;
-    let mut clock_kind = "manual".to_owned();
     let mut check_determinism = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--crash-soak" => crash_mode = true,
             "--wedge-soak" => wedge_mode = true,
-            "--wedge-per-mille" => {
-                wedge_config.wedge_per_mille = parse_num("--wedge-per-mille", &mut args)
-            }
-            "--native-per-mille" => {
-                wedge_config.native_per_mille = parse_num("--native-per-mille", &mut args)
-            }
-            "--grace-ticks" => {
-                wedge_config.grace_ticks = parse_num("--grace-ticks", &mut args);
-                grace_set = true;
-            }
-            "--lives" => crash_config.lives = parse_num("--lives", &mut args),
-            "--requests-per-life" => {
-                crash_config.requests_per_life = parse_num("--requests-per-life", &mut args)
-            }
-            "--store-bytes" => crash_config.store_bytes = parse_num("--store-bytes", &mut args),
             "--seed" => {
                 config.seed = parse_num("--seed", &mut args);
                 crash_config.seed = config.seed;
@@ -293,140 +131,42 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             }
-            "--queue-capacity" => {
-                config.queue_capacity = parse_num("--queue-capacity", &mut args);
-                if config.queue_capacity == 0 {
-                    eprintln!("error: --queue-capacity must be at least 1");
-                    return ExitCode::from(2);
-                }
-                wedge_config.queue_capacity = config.queue_capacity;
-            }
-            "--breaker-threshold" => {
-                config.breaker_threshold = parse_num("--breaker-threshold", &mut args);
-                wedge_config.breaker_threshold = config.breaker_threshold;
-            }
-            "--clock" => {
-                clock_kind = args.next().unwrap_or_else(|| usage());
-                match clock_kind.as_str() {
-                    "manual" => config.deadline_ticks = 0,
-                    // Real clock: give jobs a generous 30 s deadline.
-                    "system" => config.deadline_ticks = 30_000_000,
-                    other => {
-                        eprintln!("error: --clock expects `manual` or `system`, got `{other}`");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--out" => out_path = Some(args.next().unwrap_or_else(|| usage()).into()),
             "--check-determinism" => check_determinism = true,
             _ => usage(),
         }
     }
-    let out_path = out_path.unwrap_or_else(|| {
-        std::path::PathBuf::from(if wedge_mode {
-            "BENCH_supervise.json"
-        } else {
-            "BENCH_serve.json"
-        })
-    });
+
     if crash_mode {
-        return run_crash_mode(&crash_config, &out_path, check_determinism);
+        return run(
+            "crash soak",
+            crash_config.seed,
+            CRASH_FLOORS,
+            check_determinism,
+            || run_crash_soak(&crash_config),
+        );
     }
-
-    let make_clock = || -> Arc<dyn Clock> {
-        if clock_kind == "system" {
-            Arc::new(SystemClock::new())
-        } else {
-            Arc::new(ManualClock::new(0))
-        }
-    };
-
     if wedge_mode {
         wedge_config.workers = warp_service::effective_workers(wedge_config.workers);
         // The escalation rung re-execs this very binary (the child
         // hook at the top of main makes that safe).
         wedge_config.isolate_exe = std::env::current_exe().ok();
-        if clock_kind == "system" {
-            wedge_config.lockstep = false;
-            // SystemClock ticks are microseconds; the manual-clock
-            // default grace is far too tight for real scheduling.
-            if !grace_set {
-                wedge_config.grace_ticks = 2_000_000;
-            }
-        }
-        return run_wedge_mode(&wedge_config, &out_path, check_determinism, make_clock);
-    }
-    config.workers = warp_service::effective_workers(config.workers);
-
-    // The chaos classes panic by design; keep their backtraces off the
-    // console (the pool already contains them).
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = run_soak(&config, make_clock());
-    let determinism_ok = if check_determinism {
-        let second = run_soak(&config, make_clock());
-        second.outcomes == report.outcomes
-            && second.shed == report.shed
-            && second.quarantined == report.quarantined
-    } else {
-        true
-    };
-    std::panic::set_hook(default_hook);
-
-    println!(
-        "soak: seed={} clock={} workers={} submitted={} accepted={} shed={} \
-         quarantined={:?}",
-        config.seed,
-        clock_kind,
-        config.workers,
-        report.submitted,
-        report.accepted,
-        report.shed,
-        report.quarantined,
-    );
-    println!(
-        "      jobs/sec={:.1} p50={} p99={} ticks, cache hit-rate={:.2}",
-        report.jobs_per_sec,
-        report.p50_ticks,
-        report.p99_ticks,
-        report.cache.hit_rate(),
-    );
-    for point in &report.overload {
-        println!(
-            "      overload {}x: submitted={} accepted={} shed={} ({:.0}% shed)",
-            point.factor,
-            point.submitted,
-            point.accepted,
-            point.shed,
-            point.shed_rate() * 100.0,
+        return run(
+            "wedge storm",
+            wedge_config.seed,
+            WEDGE_FLOORS,
+            check_determinism,
+            || run_wedge_soak(&wedge_config),
         );
     }
-
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write `{}`: {e}", out_path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out_path.display());
-
-    let mut failed = false;
-    for v in &report.violations {
-        eprintln!("FAIL: {v}");
-        failed = true;
-    }
-    if check_determinism {
-        if determinism_ok {
-            println!("determinism: two runs with seed {} agree", config.seed);
-        } else {
-            eprintln!(
-                "FAIL: two runs with seed {} produced different outcome sets",
-                config.seed
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    config.workers = warp_service::effective_workers(config.workers);
+    // The chaos classes panic by design; keep their backtraces off the
+    // console (the pool already contains them).
+    std::panic::set_hook(Box::new(|_| {}));
+    run(
+        "chaos soak",
+        config.seed,
+        SOAK_FLOORS,
+        check_determinism,
+        || run_soak(&config),
+    )
 }

@@ -44,7 +44,6 @@
 //! ```
 
 pub mod audit;
-pub mod bench;
 pub mod cache;
 pub mod corpus;
 pub mod crash;
@@ -58,12 +57,10 @@ mod oracle;
 pub mod passes;
 pub mod protocol;
 pub mod reference;
-mod report;
+pub mod scenario;
 pub mod service;
 mod session;
-pub mod soak;
 pub mod store;
-pub mod supervise;
 
 pub use service::{BatchReport, ServiceConfig};
 pub use session::{compile_many, Session};

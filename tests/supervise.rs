@@ -13,8 +13,8 @@ use warp_common::{Clock, ManualClock};
 use warp_compiler::cache::CacheConfig;
 use warp_compiler::corpus;
 use warp_compiler::daemon::{CompileDaemon, DaemonConfig};
+use warp_compiler::scenario::{run_wedge_soak, WedgeSoakConfig};
 use warp_compiler::service::ServiceConfig;
-use warp_compiler::supervise::{run_wedge_soak, WedgeSoakConfig};
 use warp_compiler::CompileOptions;
 use warp_service::{ExecutorConfig, JobOutcome, ShutdownMode};
 
@@ -219,15 +219,15 @@ fn wedge_soak_with_escalation_is_deterministic_across_runs() {
         isolate_timeout_ms: 1_200,
         ..WedgeSoakConfig::default()
     };
-    let a = run_wedge_soak(&config, Arc::new(ManualClock::new(0)));
+    let a = run_wedge_soak(&config);
     assert!(a.is_clean(), "violations: {:?}", a.violations);
-    assert!(a.wedge_injected > 0, "seed injected no wedges");
-    assert_eq!(a.respawned, a.wedges_detected);
-    assert!(a.escalations_probed > 0, "{a:?}");
-    assert!(a.native_fallbacks >= 1, "{a:?}");
+    assert!(a.counter("wedge-injected") > 0, "seed injected no wedges");
+    assert_eq!(a.counter("respawned"), a.counter("wedges-detected"));
+    assert!(a.counter("escalations-probed") > 0, "{a:?}");
+    assert!(a.counter("native-fallbacks") >= 1, "{a:?}");
 
-    let b = run_wedge_soak(&config, Arc::new(ManualClock::new(0)));
+    let b = run_wedge_soak(&config);
     assert!(b.is_clean(), "violations: {:?}", b.violations);
-    assert_eq!(a.identity(), b.identity(), "same seed must agree");
-    assert_eq!(a.quarantined, b.quarantined);
+    assert_eq!(a.identity, b.identity, "same seed must agree");
+    assert_eq!(a.counter("quarantined"), b.counter("quarantined"));
 }

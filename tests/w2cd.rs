@@ -38,7 +38,13 @@ fn write_temp(name: &str, contents: &str) -> PathBuf {
 
 /// Pipes `input` into a stdin-mode session and returns (stdout, ok).
 fn session(input: &str) -> (String, bool) {
+    session_with(&[], input)
+}
+
+/// As [`session`], with extra command-line `args`.
+fn session_with(args: &[&str], input: &str) -> (String, bool) {
     let out = w2cd()
+        .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -248,6 +254,41 @@ fn health_reports_degraded_when_the_breaker_quarantines() {
         levels[1].contains("quarantined by the circuit breaker"),
         "{stdout}"
     );
+}
+
+#[test]
+fn health_reports_a_wedge_healed_by_the_background_supervisor() {
+    // The background scanner on the real clock: a job that spins
+    // without polling its cancel token is wedged after the grace, its
+    // worker is replaced, and `health` says so honestly.
+    let src = write_temp("health-spin", "");
+    let input = format!(
+        "health\nsubmit hang!spin {}\nrun\nhealth\nquit\n",
+        src.display()
+    );
+    let (stdout, ok) = session_with(
+        &[
+            "--supervise-grace-ms",
+            "200",
+            "--chaos-spin-marker",
+            "!spin",
+        ],
+        &input,
+    );
+    let _ = std::fs::remove_file(src);
+    assert!(!ok, "a wedged batch must fail the session: {stdout}");
+    let levels: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("healthy ") || l.starts_with("degraded "))
+        .collect();
+    assert_eq!(levels.len(), 2, "{stdout}");
+    // Before the wedge: honest healthy. After: the batch reports the
+    // wedge, the pool heals, and health says degraded — with the
+    // respawn count proving zero workers were lost.
+    assert!(levels[0].starts_with("healthy "), "{stdout}");
+    assert!(stdout.contains(", 1 wedged"), "{stdout}");
+    assert!(levels[1].contains("wedged=1 respawned=1"), "{stdout}");
+    assert!(stdout.contains("all replaced: 1 respawn(s)"), "{stdout}");
 }
 
 #[test]
