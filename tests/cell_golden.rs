@@ -1,0 +1,178 @@
+//! Golden digest table for cell code generation.
+//!
+//! One row per (program, `pipeline` on/off): a digest of the wire
+//! encoding of the [`CellCode`] regions — every micro-instruction
+//! field, I/O event, Adr deadline and loop count the back end emits —
+//! with `regs_used`, `scratch_words` and the pipelined loops as plain
+//! columns beside it. The programs are `corpus/*.w2`, the generator
+//! sweeps the benchmark compiles, and 800 `warp_oracle::generate`
+//! programs, so a change to scheduling, register allocation or
+//! emission that moves a single field anywhere shows up as a changed
+//! row.
+//!
+//! When the back end's output changes on purpose, refresh the table
+//! with
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --release --test cell_golden
+//! ```
+//!
+//! and review the diff of `tests/golden/cell_digests.txt` like code.
+
+use std::fmt::Write as _;
+use warp::common::hash::fnv1a64;
+use warp::common::wire::to_bytes;
+use warp::compiler::{corpus, CompileOptions, Session, SessionCtrl};
+use warp::oracle::{generate, GenConfig};
+
+const CORPUS: [&str; 7] = [
+    "polynomial.w2",
+    "conv1d.w2",
+    "binop.w2",
+    "colorseg.w2",
+    "mandelbrot.w2",
+    "fft16.w2",
+    "matmul_2x4x4.w2",
+];
+
+/// `GenConfig::default()` seeds pinned.
+const DEFAULT_SEEDS: u64 = 600;
+/// Seeds pinned under [`wide_config`].
+const WIDE_SEEDS: u64 = 200;
+
+/// The benchmark's generator budget for compile and serve items.
+fn wide_config() -> GenConfig {
+    GenConfig {
+        max_cells: 6,
+        max_segments: 5,
+        max_depth: 3,
+        max_trip: 6,
+        max_words: 96,
+    }
+}
+
+/// The generator sweeps of the benchmark's two compile workloads.
+fn sweeps() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for (cells, points) in [(4, 32), (6, 128), (8, 64), (10, 256), (10, 65536)] {
+        out.push((
+            format!("polynomial-{cells}x{points}"),
+            corpus::polynomial_source(cells, points),
+        ));
+    }
+    for (taps, n) in [(3, 64), (5, 128), (7, 96), (9, 256), (9, 65536)] {
+        out.push((format!("conv1d-{taps}x{n}"), corpus::conv1d_source(taps, n)));
+    }
+    for (cells, m, p, w) in [(2, 3, 4, 2), (4, 2, 3, 1), (3, 4, 4, 2), (2, 8, 8, 4)] {
+        out.push((
+            format!("matmul-{cells}x{m}x{p}x{w}"),
+            corpus::matmul_source(cells, m, p, w),
+        ));
+    }
+    for n in [4, 8, 32] {
+        out.push((format!("fft-{n}"), corpus::fft_source(n)));
+    }
+    for (size, iters) in [(8, 2), (16, 4), (16, 8), (24, 6)] {
+        out.push((
+            format!("mandelbrot-{size}x{iters}"),
+            corpus::mandelbrot_source(size, iters),
+        ));
+    }
+    for side in [256, 512] {
+        out.push((
+            format!("binop-{side}x{side}"),
+            corpus::binop_source(side, side),
+        ));
+        out.push((
+            format!("colorseg-{side}x{side}"),
+            corpus::colorseg_source(side, side),
+        ));
+        out.push((
+            format!("grayseg-{side}x{side}"),
+            corpus::grayseg_source(side, side),
+        ));
+    }
+    out
+}
+
+/// Generated programs are compiled as the differential compiles them:
+/// reassociation off, everything else at the defaults.
+fn gen_options() -> CompileOptions {
+    let mut opts = CompileOptions::default();
+    opts.lower.reassociate = false;
+    opts
+}
+
+fn row(name: &str, source: &str, opts: &CompileOptions, pipeline: bool) -> String {
+    let ctrl = SessionCtrl {
+        pipeline,
+        ..SessionCtrl::default()
+    };
+    let mode = if pipeline { "on" } else { "off" };
+    match Session::new(opts.clone()).with_ctrl(ctrl).compile(source) {
+        Ok(module) => {
+            let code = &module.cell_code;
+            let mut loops = String::new();
+            for p in &code.pipelined {
+                write!(loops, "({},{},{},{})", p.id, p.ii, p.stages, p.kernel_count).unwrap();
+            }
+            format!(
+                "{name} pipeline={mode} | digest={:016x} regs={} scratch={} loops=[{loops}]",
+                fnv1a64(&to_bytes(&code.regions)),
+                code.regs_used,
+                code.scratch_words,
+            )
+        }
+        Err(diags) => format!("{name} pipeline={mode} | rejected: {diags}"),
+    }
+}
+
+fn build_table() -> String {
+    let mut programs: Vec<(String, String, CompileOptions)> = Vec::new();
+    for file in CORPUS {
+        let path = format!("{}/corpus/{file}", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        programs.push((file.to_owned(), src, CompileOptions::default()));
+    }
+    for (name, src) in sweeps() {
+        programs.push((name, src, CompileOptions::default()));
+    }
+    for seed in 0..DEFAULT_SEEDS {
+        let src = generate(seed, &GenConfig::default()).source;
+        programs.push((format!("gen-{seed}"), src, gen_options()));
+    }
+    for seed in 0..WIDE_SEEDS {
+        let src = generate(seed, &wide_config()).source;
+        programs.push((format!("gen-wide-{seed}"), src, gen_options()));
+    }
+
+    let mut table = String::new();
+    for (name, src, opts) in &programs {
+        for pipeline in [true, false] {
+            writeln!(table, "{}", row(name, src, opts, pipeline)).unwrap();
+        }
+    }
+    table
+}
+
+#[test]
+fn cell_code_matches_the_recorded_digests() {
+    let got = build_table();
+    let path = format!(
+        "{}/tests/golden/cell_digests.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &got).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "cell_digests.txt line {}", n + 1);
+    }
+    assert_eq!(
+        got.lines().count(),
+        want.lines().count(),
+        "cell_digests.txt line count"
+    );
+}
