@@ -16,10 +16,10 @@ use crate::mcode::{
 };
 use crate::regalloc::{allocate_excluding, Allocation, SpillNeeded};
 use crate::sched::{schedule, BlockSchedule};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use w2_lang::hir::VarId;
 use warp_common::{Diagnostic, DiagnosticBag};
-use warp_ir::{Affine, Block, BlockId, CellIr, Node, NodeId, NodeKind, Region};
+use warp_ir::{Affine, Block, CellIr, Node, NodeId, NodeKind, Region};
 
 /// Synthetic variable id for register-spill scratch words.
 pub const SCRATCH_VAR: VarId = VarId(u32::MAX);
@@ -54,81 +54,93 @@ pub fn codegen_with(
     machine: &CellMachine,
     options: &CellCodegenOptions,
 ) -> Result<CellCode, DiagnosticBag> {
-    let mut diags = DiagnosticBag::new();
-    let mut scratch_words = 0u32;
-    let scratch_base = ir.layout.words_used();
-    let mut regs_used = 0u32;
-    let mut codes: HashMap<BlockId, BlockCode> = HashMap::new();
-
-    for (bid, block) in ir.blocks.iter() {
-        match compile_block(block, machine, scratch_base, &mut scratch_words) {
-            Ok((mut code, regs)) => {
-                code.source = Some(bid);
-                regs_used = regs_used.max(regs);
-                codes.insert(bid, code);
-            }
-            Err(msg) => diags.push(Diagnostic::error_global(format!("block {bid}: {msg}"))),
-        }
-    }
-
-    if scratch_base + scratch_words > machine.memory_words {
-        diags.push(Diagnostic::error_global(format!(
-            "cell memory overflow: {} data + {} spill words exceed {}",
-            scratch_base, scratch_words, machine.memory_words
-        )));
-    }
-    if diags.has_errors() {
-        return Err(diags);
-    }
-
     let mut asm = Assembler {
         ir,
         machine,
         options,
-        codes,
-        regs_used,
+        scratch_base: ir.layout.words_used(),
+        scratch_words: 0,
+        regs_used: 0,
         pipelined: Vec::new(),
+        diags: DiagnosticBag::new(),
     };
     let regions = asm.assemble(&ir.root);
+    if asm.scratch_base + asm.scratch_words > machine.memory_words {
+        asm.diags.push(Diagnostic::error_global(format!(
+            "cell memory overflow: {} data + {} spill words exceed {}",
+            asm.scratch_base, asm.scratch_words, machine.memory_words
+        )));
+    }
+    if asm.diags.has_errors() {
+        return Err(asm.diags);
+    }
     Ok(CellCode {
         name: ir.name.clone(),
         regions,
         regs_used: asm.regs_used,
-        scratch_words,
+        scratch_words: asm.scratch_words,
         pipelined: asm.pipelined,
     })
 }
 
+/// Walks the region tree, compiling each block where it is placed, so
+/// the register and spill-word totals count exactly the code that ends
+/// up in the program.
 struct Assembler<'a> {
     ir: &'a CellIr,
     machine: &'a CellMachine,
     options: &'a CellCodegenOptions,
-    codes: HashMap<BlockId, BlockCode>,
+    scratch_base: u32,
+    scratch_words: u32,
     regs_used: u32,
     pipelined: Vec<crate::mcode::PipelineInfo>,
+    diags: DiagnosticBag,
 }
 
 impl Assembler<'_> {
     fn assemble(&mut self, region: &Region) -> Vec<CodeRegion> {
         match region {
-            Region::Block(b) => vec![CodeRegion::Block(
-                self.codes.remove(b).expect("block compiled exactly once"),
-            )],
+            Region::Block(bid) => {
+                let block = &self.ir.blocks[*bid];
+                let compiled = compile_block(
+                    block,
+                    self.machine,
+                    self.scratch_base,
+                    &mut self.scratch_words,
+                );
+                let mut code = match compiled {
+                    Ok((code, regs)) => {
+                        self.regs_used = self.regs_used.max(regs);
+                        code
+                    }
+                    Err(msg) => {
+                        self.diags
+                            .push(Diagnostic::error_global(format!("block {bid}: {msg}")));
+                        BlockCode::default()
+                    }
+                };
+                code.source = Some(*bid);
+                vec![CodeRegion::Block(code)]
+            }
             Region::Loop { id, body } => {
                 let count = self.ir.loops[*id].count;
+                let (scratch_words, regs_used) = (self.scratch_words, self.regs_used);
+                let list = self.assemble(body);
                 if self.options.software_pipeline {
-                    if let Region::Block(bid) = **body {
-                        let baseline = self.codes[&bid].len();
+                    if let (Region::Block(bid), [CodeRegion::Block(code)]) = (&**body, &list[..]) {
                         if let Some(p) = crate::modulo::try_pipeline(
-                            &self.ir.blocks[bid],
+                            &self.ir.blocks[*bid],
                             self.machine,
                             count,
                             *id,
                             self.ir.loops[*id].lo,
-                            baseline,
+                            code.len(),
                         ) {
-                            self.codes.remove(&bid);
-                            self.regs_used = self.regs_used.max(p.regs_used);
+                            // The list-scheduled body is thrown away:
+                            // its registers and spill words leave the
+                            // totals with it.
+                            self.scratch_words = scratch_words;
+                            self.regs_used = regs_used.max(p.regs_used);
                             self.pipelined.push(crate::mcode::PipelineInfo {
                                 id: *id,
                                 ii: p.ii,
@@ -150,7 +162,7 @@ impl Assembler<'_> {
                 vec![CodeRegion::Loop {
                     id: *id,
                     count,
-                    body: self.assemble(body),
+                    body: list,
                 }]
             }
             Region::Seq(rs) => rs.iter().flat_map(|r| self.assemble(r)).collect(),

@@ -19,7 +19,11 @@
 //!
 //! and review the diff of `tests/golden/cell_digests.txt` like code.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use warp::cell::{
+    AddrSource, CellCode, CodeRegion, FpuField, IoField, MemField, MicroInst, Operand,
+};
 use warp::common::hash::fnv1a64;
 use warp::common::wire::to_bytes;
 use warp::compiler::{corpus, CompileOptions, Session, SessionCtrl};
@@ -35,7 +39,8 @@ const CORPUS: [&str; 7] = [
     "matmul_2x4x4.w2",
 ];
 
-/// `GenConfig::default()` seeds pinned.
+/// `GenConfig::default()` seeds pinned (and checked by the register
+/// accounting test below).
 const DEFAULT_SEEDS: u64 = 600;
 /// Seeds pinned under [`wide_config`].
 const WIDE_SEEDS: u64 = 200;
@@ -175,4 +180,95 @@ fn cell_code_matches_the_recorded_digests() {
         want.lines().count(),
         "cell_digests.txt line count"
     );
+}
+
+/// Every register and every literal memory address the program names.
+fn referenced(code: &CellCode) -> (BTreeSet<u16>, BTreeSet<u16>) {
+    fn operand(regs: &mut BTreeSet<u16>, op: &Operand) {
+        if let Operand::Reg(r) = op {
+            regs.insert(r.0);
+        }
+    }
+    fn fpu(regs: &mut BTreeSet<u16>, f: &FpuField) {
+        regs.extend(f.dst.map(|r| r.0));
+        for s in &f.srcs {
+            operand(regs, s);
+        }
+    }
+    fn inst(regs: &mut BTreeSet<u16>, addrs: &mut BTreeSet<u16>, i: &MicroInst) {
+        for f in i.fadd.iter().chain(&i.fmul) {
+            fpu(regs, f);
+        }
+        for m in i.mem.iter().flatten() {
+            let addr = match m {
+                MemField::Read { addr, dst } => {
+                    regs.extend(dst.map(|r| r.0));
+                    addr
+                }
+                MemField::Write { addr, src } => {
+                    operand(regs, src);
+                    addr
+                }
+            };
+            if let AddrSource::Literal(a) = addr {
+                addrs.insert(*a);
+            }
+        }
+        for io in i.io.iter().flatten() {
+            match io {
+                IoField::Recv { dst, .. } => regs.extend(dst.map(|r| r.0)),
+                IoField::Send { src, .. } => operand(regs, src),
+            }
+        }
+    }
+    fn region(regs: &mut BTreeSet<u16>, addrs: &mut BTreeSet<u16>, r: &CodeRegion) {
+        match r {
+            CodeRegion::Block(b) => b.insts.iter().for_each(|i| inst(regs, addrs, i)),
+            CodeRegion::Loop { body, .. } => body.iter().for_each(|r| region(regs, addrs, r)),
+        }
+    }
+    let (mut regs, mut addrs) = (BTreeSet::new(), BTreeSet::new());
+    for r in &code.regions {
+        region(&mut regs, &mut addrs, r);
+    }
+    (regs, addrs)
+}
+
+#[test]
+fn register_and_scratch_totals_count_only_assembled_code() {
+    // A loop that pipelines throws its list-scheduled body away; the
+    // registers and spill words of that discarded version must not
+    // stay in the totals (seed 197 at the default file, and again at
+    // three registers, is enough to see it).
+    let mut checked = 0u32;
+    for registers in [64u32, 3, 4, 5, 6] {
+        let mut opts = gen_options();
+        opts.machine.registers = registers;
+        for seed in 0..DEFAULT_SEEDS {
+            let src = generate(seed, &GenConfig::default()).source;
+            // A register file this small legitimately rejects some
+            // programs; those have no totals to check.
+            let Ok(module) = Session::new(opts.clone()).compile(&src) else {
+                continue;
+            };
+            checked += 1;
+            let code = &module.cell_code;
+            let (regs, addrs) = referenced(code);
+            assert_eq!(
+                code.regs_used,
+                regs.last().map_or(0, |&r| u32::from(r) + 1),
+                "gen-{seed} at {registers} registers: regs_used vs highest register referenced"
+            );
+            let scratch_base = module.ir.layout.words_used();
+            let scratch = addrs
+                .iter()
+                .filter(|&&a| u32::from(a) >= scratch_base)
+                .count();
+            assert_eq!(
+                code.scratch_words as usize, scratch,
+                "gen-{seed} at {registers} registers: scratch_words vs scratch addresses referenced"
+            );
+        }
+    }
+    assert!(checked > 2000, "only {checked} programs compiled");
 }
