@@ -16,10 +16,10 @@ use crate::mcode::{
 };
 use crate::regalloc::{allocate_excluding, Allocation, SpillNeeded};
 use crate::sched::{schedule, BlockSchedule};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use w2_lang::hir::VarId;
 use warp_common::{Diagnostic, DiagnosticBag};
-use warp_ir::{Affine, Block, CellIr, Node, NodeId, NodeKind, Region};
+use warp_ir::{Affine, Block, CellIr, HostSlot, Node, NodeId, NodeKind, Region};
 
 /// Synthetic variable id for register-spill scratch words.
 pub const SCRATCH_VAR: VarId = VarId(u32::MAX);
@@ -254,144 +254,147 @@ fn emit(
     sched: &BlockSchedule,
     alloc: &Allocation,
 ) -> Result<BlockCode, String> {
-    let mut insts = vec![MicroInst::default(); sched.len as usize];
-    let mut io_events: Vec<IoEvent> = Vec::new();
-    let mut adr: Vec<(NodeId, u32)> = Vec::new();
+    let mut ops = block.live_nodes();
+    ops.retain(|&n| machine.unit_of(&block.nodes[n].kind) != Unit::None);
+    ops.sort_by_key(|&n| (sched.time[&n], n));
+    let mut code = BlockBuilder::new(sched.len);
+    for n in ops {
+        code.place(sched.time[&n], block, n, &alloc.assignment, Clone::clone)?;
+    }
+    Ok(code.finish())
+}
 
-    let operand = |p: NodeId| -> Result<Operand, String> {
-        match block.nodes[p].kind {
-            NodeKind::ConstF(v) => Ok(Operand::Imm(v)),
-            NodeKind::ConstB(v) => Ok(Operand::ImmB(v)),
-            _ => alloc
-                .assignment
-                .get(&p)
-                .map(|&r| Operand::Reg(r))
-                .ok_or_else(|| {
-                    format!("node {p:?} is consumed but was never allocated a register")
-                }),
+/// A block of microcode under construction: the one place a
+/// [`NodeKind`] becomes an instruction field. The list path places each
+/// op of a block once; the modulo path places one instance per
+/// iteration in flight into its prologue, kernel and epilogue.
+pub(crate) struct BlockBuilder {
+    insts: Vec<MicroInst>,
+    io_events: Vec<IoEvent>,
+    /// Adr-queue memory operations as `(node, issue cycle)`.
+    adr: Vec<(NodeId, u32)>,
+}
+
+impl BlockBuilder {
+    pub(crate) fn new(len: u32) -> BlockBuilder {
+        BlockBuilder {
+            insts: vec![MicroInst::default(); len as usize],
+            io_events: Vec::new(),
+            adr: Vec::new(),
         }
-    };
-    let dst = |n: NodeId| -> Option<Reg> { alloc.assignment.get(&n).copied() };
-
-    let mut live = block.live_nodes();
-    live.sort_by_key(|&n| (sched.time.get(&n).copied().unwrap_or(0), n));
-
-    for n in live {
-        let node = &block.nodes[n];
-        let t = sched.time[&n] as usize;
-        match &node.kind {
-            NodeKind::ConstF(_) | NodeKind::ConstB(_) => {}
-            NodeKind::FAdd
-            | NodeKind::FSub
-            | NodeKind::FCmp(_)
-            | NodeKind::BAnd
-            | NodeKind::BOr
-            | NodeKind::BNot
-            | NodeKind::Select => {
-                let op = match &node.kind {
-                    NodeKind::FAdd => AluOp::Add,
-                    NodeKind::FSub => AluOp::Sub,
-                    NodeKind::FCmp(c) => AluOp::Cmp(*c),
-                    NodeKind::BAnd => AluOp::And,
-                    NodeKind::BOr => AluOp::Or,
-                    NodeKind::BNot => AluOp::Not,
-                    NodeKind::Select => AluOp::Select,
-                    _ => unreachable!(),
-                };
-                debug_assert!(insts[t].fadd.is_none(), "add FPU double-booked");
-                insts[t].fadd = Some(FpuField {
-                    op,
-                    dst: dst(n),
-                    srcs: node
-                        .inputs
-                        .iter()
-                        .map(|&p| operand(p))
-                        .collect::<Result<_, _>>()?,
-                });
-            }
-            NodeKind::FMul | NodeKind::FDiv | NodeKind::FNeg => {
-                let op = match &node.kind {
-                    NodeKind::FMul => AluOp::Mul,
-                    NodeKind::FDiv => AluOp::Div,
-                    NodeKind::FNeg => AluOp::Neg,
-                    _ => unreachable!(),
-                };
-                debug_assert!(insts[t].fmul.is_none(), "mul FPU double-booked");
-                insts[t].fmul = Some(FpuField {
-                    op,
-                    dst: dst(n),
-                    srcs: node
-                        .inputs
-                        .iter()
-                        .map(|&p| operand(p))
-                        .collect::<Result<_, _>>()?,
-                });
-            }
-            NodeKind::Load { addr, .. } => {
-                let source = addr_source(addr)?;
-                if source == AddrSource::AdrQueue {
-                    adr.push((n, t as u32));
-                }
-                let slot = free_mem_slot(&mut insts[t]);
-                *slot = Some(MemField::Read {
-                    addr: source,
-                    dst: dst(n),
-                });
-            }
-            NodeKind::Store { addr, .. } => {
-                let source = addr_source(addr)?;
-                if source == AddrSource::AdrQueue {
-                    adr.push((n, t as u32));
-                }
-                let value = operand(node.inputs[0])?;
-                let slot = free_mem_slot(&mut insts[t]);
-                *slot = Some(MemField::Write {
-                    addr: source,
-                    src: value,
-                });
-            }
-            NodeKind::Recv { dir, chan, ext } => {
-                let idx = io_index(*dir, *chan);
-                debug_assert!(insts[t].io[idx].is_none(), "I/O port double-booked");
-                insts[t].io[idx] = Some(IoField::Recv {
-                    dst: dst(n),
-                    ext: ext.clone(),
-                });
-                io_events.push(IoEvent {
-                    cycle: t as u32,
-                    dir: *dir,
-                    chan: *chan,
-                    is_recv: true,
-                    ext: ext.clone(),
-                });
-            }
-            NodeKind::Send { dir, chan, ext } => {
-                let idx = io_index(*dir, *chan);
-                debug_assert!(insts[t].io[idx].is_none(), "I/O port double-booked");
-                insts[t].io[idx] = Some(IoField::Send {
-                    src: operand(node.inputs[0])?,
-                    ext: ext.clone(),
-                });
-                io_events.push(IoEvent {
-                    cycle: t as u32,
-                    dir: *dir,
-                    chan: *chan,
-                    is_recv: false,
-                    ext: ext.clone(),
-                });
-            }
-        }
-        debug_assert!(machine.unit_of(&node.kind) != Unit::None || node.inputs.is_empty());
     }
 
-    io_events.sort_by_key(|e| e.cycle);
-    adr.sort_by_key(|&(n, _)| n);
-    Ok(BlockCode {
-        insts,
-        io_events,
-        adr_deadlines: adr.into_iter().map(|(_, t)| t).collect(),
-        source: None,
-    })
+    /// Emits op `n` of `block` into the instruction word at `cycle`,
+    /// reading operand and destination registers from `regs`; `ext`
+    /// maps an I/O node's host slot to the one this instance carries.
+    /// Ops sharing a cycle fill memory port `m0` before `m1` in
+    /// placement order, so that order is part of the output.
+    ///
+    /// # Errors
+    ///
+    /// A literal address that does not fit its field, or an operand
+    /// that was never given a register.
+    pub(crate) fn place(
+        &mut self,
+        cycle: u32,
+        block: &Block,
+        n: NodeId,
+        regs: &HashMap<NodeId, Reg>,
+        ext: impl Fn(&Option<HostSlot>) -> Option<HostSlot>,
+    ) -> Result<(), String> {
+        let node = &block.nodes[n];
+        let operand = |p: NodeId| match block.nodes[p].kind {
+            NodeKind::ConstF(v) => Ok(Operand::Imm(v)),
+            NodeKind::ConstB(v) => Ok(Operand::ImmB(v)),
+            _ => regs.get(&p).map(|&r| Operand::Reg(r)).ok_or_else(|| {
+                format!("node {p:?} is consumed but was never allocated a register")
+            }),
+        };
+        let dst = regs.get(&n).copied();
+        let fpu = |field: &mut Option<FpuField>, op: AluOp| {
+            debug_assert!(field.is_none(), "FPU double-booked");
+            let srcs = node
+                .inputs
+                .iter()
+                .map(|&p| operand(p))
+                .collect::<Result<_, _>>()?;
+            *field = Some(FpuField { op, dst, srcs });
+            Ok::<(), String>(())
+        };
+        let inst = &mut self.insts[cycle as usize];
+        match &node.kind {
+            // Literals ride in their consumers' operand fields.
+            NodeKind::ConstF(_) | NodeKind::ConstB(_) => {}
+            NodeKind::FAdd => fpu(&mut inst.fadd, AluOp::Add)?,
+            NodeKind::FSub => fpu(&mut inst.fadd, AluOp::Sub)?,
+            NodeKind::FCmp(c) => fpu(&mut inst.fadd, AluOp::Cmp(*c))?,
+            NodeKind::BAnd => fpu(&mut inst.fadd, AluOp::And)?,
+            NodeKind::BOr => fpu(&mut inst.fadd, AluOp::Or)?,
+            NodeKind::BNot => fpu(&mut inst.fadd, AluOp::Not)?,
+            NodeKind::Select => fpu(&mut inst.fadd, AluOp::Select)?,
+            NodeKind::FMul => fpu(&mut inst.fmul, AluOp::Mul)?,
+            NodeKind::FDiv => fpu(&mut inst.fmul, AluOp::Div)?,
+            NodeKind::FNeg => fpu(&mut inst.fmul, AluOp::Neg)?,
+            NodeKind::Load { addr, .. } | NodeKind::Store { addr, .. } => {
+                let addr = addr_source(addr)?;
+                if addr == AddrSource::AdrQueue {
+                    self.adr.push((n, cycle));
+                }
+                *free_mem_slot(inst) = Some(match node.kind {
+                    NodeKind::Load { .. } => MemField::Read { addr, dst },
+                    _ => MemField::Write {
+                        addr,
+                        src: operand(node.inputs[0])?,
+                    },
+                });
+            }
+            NodeKind::Recv {
+                dir,
+                chan,
+                ext: slot,
+            }
+            | NodeKind::Send {
+                dir,
+                chan,
+                ext: slot,
+            } => {
+                let is_recv = matches!(node.kind, NodeKind::Recv { .. });
+                let ext = ext(slot);
+                let port = &mut inst.io[io_index(*dir, *chan)];
+                debug_assert!(port.is_none(), "I/O port double-booked");
+                *port = Some(if is_recv {
+                    IoField::Recv {
+                        dst,
+                        ext: ext.clone(),
+                    }
+                } else {
+                    IoField::Send {
+                        src: operand(node.inputs[0])?,
+                        ext: ext.clone(),
+                    }
+                });
+                self.io_events.push(IoEvent {
+                    cycle,
+                    dir: *dir,
+                    chan: *chan,
+                    is_recv,
+                    ext,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    pub(crate) fn finish(mut self) -> BlockCode {
+        self.io_events.sort_by_key(|e| e.cycle);
+        self.adr.sort_by_key(|&(n, _)| n);
+        BlockCode {
+            insts: self.insts,
+            io_events: self.io_events,
+            adr_deadlines: self.adr.into_iter().map(|(_, t)| t).collect(),
+            source: None,
+        }
+    }
 }
 
 fn addr_source(addr: &Affine) -> Result<AddrSource, String> {

@@ -14,7 +14,7 @@
 //!   the real cell has a 32-word file per FPU connected by a full
 //!   crossbar).
 
-use warp_ir::NodeKind;
+use warp_ir::{NodeId, NodeKind};
 
 /// Functional units an operation can occupy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -30,6 +30,42 @@ pub enum Unit {
     Io(usize),
     /// No unit: the value comes from the instruction's literal field.
     None,
+}
+
+/// Which op holds which unit in one cycle of a schedule. The list
+/// scheduler keeps one row per absolute cycle, the modulo reservation
+/// table one per `t % II`, and the legality check refills rows from a
+/// finished schedule; holders are kept in the order they were placed.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct UnitRow(Vec<(Unit, NodeId)>);
+
+impl UnitRow {
+    fn holders(&self, unit: Unit) -> impl Iterator<Item = NodeId> + '_ {
+        self.0.iter().filter(move |h| h.0 == unit).map(|h| h.1)
+    }
+
+    /// Whether `unit` can accept one more op in this cycle.
+    pub fn is_free(&self, unit: Unit, machine: &CellMachine) -> bool {
+        (self.holders(unit).count() as u32) < machine.ports(unit)
+    }
+
+    /// Reserves `unit` for `n`.
+    pub fn take(&mut self, unit: Unit, n: NodeId) {
+        if unit != Unit::None {
+            self.0.push((unit, n));
+        }
+    }
+
+    /// Gives back the reservation [`take`](Self::take) made for `n`.
+    pub fn release(&mut self, unit: Unit, n: NodeId) {
+        self.0.retain(|&h| h != (unit, n));
+    }
+
+    /// The op to evict to make room on `unit`: its latest-placed holder
+    /// (freeing one memory port is enough).
+    pub fn holder(&self, unit: Unit) -> Option<NodeId> {
+        self.holders(unit).last()
+    }
 }
 
 /// Maps a `(direction, channel)` pair to its I/O port index.
@@ -99,6 +135,17 @@ impl CellMachine {
         }
     }
 
+    /// Ops `unit` accepts per cycle: one per FPU and per I/O port,
+    /// [`mem_ports`](Self::mem_ports) memory references, and any number
+    /// of literals.
+    pub fn ports(&self, unit: Unit) -> u32 {
+        match unit {
+            Unit::Mem => self.mem_ports,
+            Unit::None => u32::MAX,
+            _ => 1,
+        }
+    }
+
     /// The machine's latencies as the DAG-level [`warp_ir::LatencyModel`],
     /// so mid-end passes (height reduction, rewrite cost models) agree
     /// with the scheduler.
@@ -159,6 +206,30 @@ mod tests {
             }),
             Unit::Io(0)
         );
+    }
+
+    #[test]
+    fn unit_row_tracks_holders_per_unit() {
+        let m = CellMachine::default();
+        let mut row = UnitRow::default();
+        assert!(row.is_free(Unit::AddFpu, &m));
+        row.take(Unit::AddFpu, NodeId(1));
+        assert!(!row.is_free(Unit::AddFpu, &m));
+        assert!(row.is_free(Unit::MulFpu, &m), "units are independent");
+        // Two memory ports; the latest-placed holder is the evictee.
+        row.take(Unit::Mem, NodeId(2));
+        assert!(row.is_free(Unit::Mem, &m));
+        row.take(Unit::Mem, NodeId(3));
+        assert!(!row.is_free(Unit::Mem, &m));
+        assert_eq!(row.holder(Unit::Mem), Some(NodeId(3)));
+        row.release(Unit::Mem, NodeId(3));
+        assert_eq!(row.holder(Unit::Mem), Some(NodeId(2)));
+        assert!(row.is_free(Unit::Mem, &m));
+        // Literals hold nothing.
+        row.take(Unit::None, NodeId(4));
+        assert!(row.is_free(Unit::None, &m));
+        assert_eq!(row.holder(Unit::None), None);
+        assert_eq!(row.holder(Unit::Io(0)), None);
     }
 
     #[test]

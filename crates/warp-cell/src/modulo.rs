@@ -29,23 +29,21 @@
 //!   works for all in-flight iterations (no modulo variable expansion):
 //!   every use must issue within `latency(def) + II − 1` cycles of its
 //!   definition — iteration *i+1*'s writeback then lands strictly after
-//!   iteration *i*'s last read. Registers themselves are assigned by
-//!   [`crate::regalloc::allocate_modulo`], which packs the cyclic
-//!   lifetime arcs so disjoint values share registers.
+//!   iteration *i*'s last read. [`crate::regalloc::allocate_modulo`]
+//!   enforces this while it packs the cyclic lifetime arcs so disjoint
+//!   values share registers.
 //!
 //! The result replaces `loop { body }` with
 //! `prologue; loop(count−SC+1) { kernel }; epilogue`, where SC is the
 //! stage count — the classic ramp-up / steady-state / drain shape.
 
-use crate::machine::{io_index, CellMachine, Unit};
-use crate::mcode::{
-    AddrSource, AluOp, BlockCode, FpuField, IoEvent, IoField, MemField, MicroInst, Operand, Reg,
-};
+use crate::codegen::BlockBuilder;
+use crate::machine::{CellMachine, Unit, UnitRow};
+use crate::mcode::BlockCode;
 use crate::regalloc::{allocate_modulo, Allocation};
+use crate::sched::{build_edges, check, successors, EdgeSpec};
 use std::collections::HashMap;
-#[allow(unused_imports)]
-use warp_common::idvec::Id as _;
-use warp_ir::{Affine, Block, HostSlot, LoopId, Node, NodeId, NodeKind};
+use warp_ir::{Affine, Block, HostSlot, LoopId, NodeId, NodeKind};
 
 /// A pipelined loop: ramp-up block, steady-state kernel, drain block.
 #[derive(Clone, Debug)]
@@ -64,19 +62,6 @@ pub struct PipelinedLoop {
     pub kernel_count: u64,
     /// Registers used.
     pub regs_used: u32,
-}
-
-/// One precedence constraint `t(to) ≥ t(from) + lat − dist·II`.
-#[derive(Clone, Copy, Debug)]
-pub struct EdgeSpec {
-    /// Producing (or earlier) op.
-    pub from: NodeId,
-    /// Consuming (or later) op.
-    pub to: NodeId,
-    /// Minimum issue distance in cycles.
-    pub lat: i64,
-    /// Iteration distance (0 = same iteration, 1 = loop-carried).
-    pub dist: i64,
 }
 
 /// Attempts to software-pipeline `block` (the body of a loop running
@@ -116,9 +101,6 @@ pub fn try_pipeline(
         let Some(times) = ims_schedule(block, machine, &live, &edges, ii, baseline_len) else {
             continue;
         };
-        if !lifetimes_fit(block, machine, &live, &times, ii) {
-            continue;
-        }
         let max_t = times.values().copied().max().unwrap_or(0);
         let stages = max_t / ii + 1;
         if stages < 2 {
@@ -130,7 +112,7 @@ pub fn try_pipeline(
             continue; // not enough iterations to fill the pipe
         }
         let Some(alloc) = allocate_modulo(block, machine, &times, ii) else {
-            continue; // cyclic lifetimes exceed the register file
+            continue; // a lifetime outlasts the II, or the arcs overflow the file
         };
         // Profitability: the pipelined shape must be strictly shorter
         // than `count` back-to-back list-scheduled iterations.
@@ -142,122 +124,24 @@ pub fn try_pipeline(
             continue;
         }
         debug_assert!(validate_modulo(block, machine, &times, ii).is_ok());
-        return Some(emit(
-            block, machine, &times, ii, stages, count, loop_id, lo, &alloc,
-        ));
+        return emit(block, &times, ii, stages, count, loop_id, lo, &alloc);
     }
     None
-}
-
-/// All precedence constraints: `t(to) ≥ t(from) + lat − dist·II`.
-pub fn build_edges(block: &Block, machine: &CellMachine, live: &[NodeId]) -> Vec<EdgeSpec> {
-    let mut edges = Vec::new();
-    for &n in live {
-        let node = &block.nodes[n];
-        for &p in &node.inputs {
-            if matches!(
-                block.nodes[p].kind,
-                NodeKind::ConstF(_) | NodeKind::ConstB(_)
-            ) {
-                continue;
-            }
-            edges.push(EdgeSpec {
-                from: p,
-                to: n,
-                lat: i64::from(machine.latency_of(&block.nodes[p].kind).max(1)),
-                dist: 0,
-            });
-        }
-        for &d in &node.deps {
-            edges.push(EdgeSpec {
-                from: d,
-                to: n,
-                lat: 1,
-                dist: 0,
-            });
-        }
-    }
-
-    // Channel FIFO order across iterations: the last op of iteration i
-    // precedes the first op of iteration i+1 in absolute time.
-    let mut per_port: HashMap<(usize, bool), Vec<NodeId>> = HashMap::new();
-    for &n in live {
-        match &block.nodes[n].kind {
-            NodeKind::Recv { dir, chan, .. } => per_port
-                .entry((io_index(*dir, *chan), true))
-                .or_default()
-                .push(n),
-            NodeKind::Send { dir, chan, .. } => per_port
-                .entry((io_index(*dir, *chan), false))
-                .or_default()
-                .push(n),
-            _ => {}
-        }
-    }
-    for ops in per_port.values() {
-        if let (Some(&first), Some(&last)) = (ops.first(), ops.last()) {
-            edges.push(EdgeSpec {
-                from: last,
-                to: first,
-                lat: 1,
-                dist: 1,
-            });
-        }
-    }
-
-    // Memory cells (constant addresses) shared by all iterations: any
-    // two conflicting accesses must keep their relative order across
-    // iterations too.
-    let mut per_addr: HashMap<i64, Vec<(NodeId, bool)>> = HashMap::new();
-    for &n in live {
-        match &block.nodes[n].kind {
-            NodeKind::Load { addr, .. } => {
-                per_addr.entry(addr.constant).or_default().push((n, false))
-            }
-            NodeKind::Store { addr, .. } => {
-                per_addr.entry(addr.constant).or_default().push((n, true))
-            }
-            _ => {}
-        }
-    }
-    for ops in per_addr.values() {
-        for &(a, a_store) in ops {
-            for &(b, b_store) in ops {
-                if a == b || (!a_store && !b_store) {
-                    continue;
-                }
-                // b of iteration i+1 must follow a of iteration i.
-                edges.push(EdgeSpec {
-                    from: a,
-                    to: b,
-                    lat: 1,
-                    dist: 1,
-                });
-            }
-        }
-    }
-    edges
 }
 
 /// Resource-bound MII: the most-used unit must fit one iteration's worth
 /// of ops into II cycles.
 pub fn resource_mii(block: &Block, machine: &CellMachine, live: &[NodeId]) -> u32 {
-    let mut add = 0u32;
-    let mut mul = 0u32;
-    let mut mem = 0u32;
-    let mut io = [0u32; 4];
+    let mut ops: HashMap<Unit, u32> = HashMap::new();
     for &n in live {
-        match machine.unit_of(&block.nodes[n].kind) {
-            Unit::AddFpu => add += 1,
-            Unit::MulFpu => mul += 1,
-            Unit::Mem => mem += 1,
-            Unit::Io(i) => io[i] += 1,
-            Unit::None => {}
-        }
+        *ops.entry(machine.unit_of(&block.nodes[n].kind))
+            .or_insert(0) += 1;
     }
-    add.max(mul)
-        .max(mem.div_ceil(machine.mem_ports))
-        .max(io.into_iter().max().unwrap_or(0))
+    ops.into_iter()
+        .filter(|&(unit, _)| unit != Unit::None)
+        .map(|(unit, n)| n.div_ceil(machine.ports(unit)))
+        .max()
+        .unwrap_or(0)
 }
 
 /// Recurrence-bound MII: the smallest II for which no dependence cycle
@@ -296,16 +180,6 @@ fn has_positive_cycle(live: &[NodeId], edges: &[EdgeSpec], ii: u32) -> bool {
         }
     }
     true
-}
-
-/// Per-slot occupancy of the modulo reservation table, tracking *which*
-/// op holds each resource so eviction can free it.
-#[derive(Clone, Default)]
-struct SlotOcc {
-    add: Option<NodeId>,
-    mul: Option<NodeId>,
-    mem: Vec<NodeId>,
-    io: [Option<NodeId>; 4],
 }
 
 /// Iterative modulo scheduling with eviction (Rau's IMS). Places every
@@ -359,19 +233,14 @@ fn ims_schedule(
     let horizon = i64::from(baseline_len) * 4 + ii_i * 4 + 64;
     let mut budget = sched_nodes.len() * (ii as usize + 2) * 8 + 64;
 
-    let mut mrt: Vec<SlotOcc> = vec![SlotOcc::default(); ii as usize];
+    // The modulo reservation table: one unit row per cycle of the II.
+    let mut mrt = vec![UnitRow::default(); ii as usize];
     let mut times: HashMap<NodeId, u32> = HashMap::new();
     let mut prev_try: HashMap<NodeId, i64> = HashMap::new();
 
-    let evict = |n: NodeId, times: &mut HashMap<NodeId, u32>, mrt: &mut Vec<SlotOcc>| {
-        let Some(t) = times.remove(&n) else { return };
-        let slot = &mut mrt[(t % ii) as usize];
-        match machine.unit_of(&block.nodes[n].kind) {
-            Unit::AddFpu => slot.add = None,
-            Unit::MulFpu => slot.mul = None,
-            Unit::Mem => slot.mem.retain(|&m| m != n),
-            Unit::Io(i) => slot.io[i] = None,
-            Unit::None => {}
+    let evict = |n: NodeId, times: &mut HashMap<NodeId, u32>, mrt: &mut Vec<UnitRow>| {
+        if let Some(t) = times.remove(&n) {
+            mrt[(t % ii) as usize].release(machine.unit_of(&block.nodes[n].kind), n);
         }
     };
 
@@ -398,21 +267,8 @@ fn ims_schedule(
         }
 
         // Find a conflict-free slot in a full II window, else force.
-        let mut chosen: Option<i64> = None;
-        for t in estart..estart + ii_i {
-            let slot = &mrt[(t % ii_i) as usize];
-            let free = match unit {
-                Unit::AddFpu => slot.add.is_none(),
-                Unit::MulFpu => slot.mul.is_none(),
-                Unit::Mem => (slot.mem.len() as u32) < machine.mem_ports,
-                Unit::Io(i) => slot.io[i].is_none(),
-                Unit::None => true,
-            };
-            if free {
-                chosen = Some(t);
-                break;
-            }
-        }
+        let chosen =
+            (estart..estart + ii_i).find(|t| mrt[(t % ii_i) as usize].is_free(unit, machine));
         let forced = chosen.is_none();
         let t = chosen.unwrap_or_else(|| estart.max(prev_try.get(&n).copied().unwrap_or(-1) + 1));
         if t > horizon {
@@ -422,31 +278,13 @@ fn ims_schedule(
 
         if forced {
             // Evict whatever holds this unit at the forced slot.
-            let occupants: Vec<NodeId> = {
-                let slot = &mrt[(t % ii_i) as usize];
-                match unit {
-                    Unit::AddFpu => slot.add.into_iter().collect(),
-                    Unit::MulFpu => slot.mul.into_iter().collect(),
-                    // One port suffices: evict the latest-placed entry.
-                    Unit::Mem => slot.mem.last().copied().into_iter().collect(),
-                    Unit::Io(i) => slot.io[i].into_iter().collect(),
-                    Unit::None => vec![],
-                }
-            };
-            for m in occupants {
+            if let Some(m) = mrt[(t % ii_i) as usize].holder(unit) {
                 evict(m, &mut times, &mut mrt);
             }
         }
 
         // Place n at t.
-        let slot = &mut mrt[(t % ii_i) as usize];
-        match unit {
-            Unit::AddFpu => slot.add = Some(n),
-            Unit::MulFpu => slot.mul = Some(n),
-            Unit::Mem => slot.mem.push(n),
-            Unit::Io(i) => slot.io[i] = Some(n),
-            Unit::None => {}
-        }
+        mrt[(t % ii_i) as usize].take(unit, n);
         times.insert(n, u32::try_from(t).ok()?);
 
         // Evict placed successors whose dependence constraints n's new
@@ -465,7 +303,7 @@ fn ims_schedule(
     }
 
     // Final validation of every constraint.
-    validate_core(block, machine, edges, &times, ii).ok()?;
+    check(block, machine, live, edges, &times, ii, true).ok()?;
     Some(times)
 }
 
@@ -485,83 +323,13 @@ pub fn validate_modulo(
     ii: u32,
 ) -> Result<(), String> {
     let live = block.live_nodes();
-    for &n in &live {
-        if !matches!(
-            block.nodes[n].kind,
-            NodeKind::ConstF(_) | NodeKind::ConstB(_)
-        ) && !times.contains_key(&n)
-        {
-            return Err(format!("live op {n:?} is unscheduled"));
-        }
-    }
     let edges = build_edges(block, machine, &live);
-    validate_core(block, machine, &edges, times, ii)
-}
-
-fn validate_core(
-    block: &Block,
-    machine: &CellMachine,
-    edges: &[EdgeSpec],
-    times: &HashMap<NodeId, u32>,
-    ii: u32,
-) -> Result<(), String> {
-    let ii_i = i64::from(ii);
-    for e in edges {
-        let (Some(&tf), Some(&tt)) = (times.get(&e.from), times.get(&e.to)) else {
-            continue;
-        };
-        if i64::from(tt) < i64::from(tf) + e.lat - e.dist * ii_i {
-            return Err(format!(
-                "edge {:?}->{:?} (lat {}, dist {}) violated: t={} vs t={} at II {}",
-                e.from, e.to, e.lat, e.dist, tf, tt, ii
-            ));
-        }
-    }
-    let mut add = vec![0u32; ii as usize];
-    let mut mul = vec![0u32; ii as usize];
-    let mut mem = vec![0u32; ii as usize];
-    let mut io = vec![[0u32; 4]; ii as usize];
-    for (&n, &t) in times {
-        let slot = (t % ii) as usize;
-        match machine.unit_of(&block.nodes[n].kind) {
-            Unit::AddFpu => add[slot] += 1,
-            Unit::MulFpu => mul[slot] += 1,
-            Unit::Mem => mem[slot] += 1,
-            Unit::Io(i) => io[slot][i] += 1,
-            Unit::None => {}
-        }
-    }
-    for s in 0..ii as usize {
-        if add[s] > 1 {
-            return Err(format!("add FPU oversubscribed at modulo slot {s}"));
-        }
-        if mul[s] > 1 {
-            return Err(format!("mul FPU oversubscribed at modulo slot {s}"));
-        }
-        if mem[s] > machine.mem_ports {
-            return Err(format!("memory ports oversubscribed at modulo slot {s}"));
-        }
-        if let Some(p) = io[s].iter().position(|&c| c > 1) {
-            return Err(format!("I/O port {p} oversubscribed at modulo slot {s}"));
-        }
-    }
-    Ok(())
+    check(block, machine, &live, &edges, times, ii, true)
 }
 
 /// Intra-iteration topological order over inputs + deps.
 fn topo_order(block: &Block, live: &[NodeId]) -> Option<Vec<NodeId>> {
-    let is_live: std::collections::HashSet<NodeId> = live.iter().copied().collect();
-    let mut indeg: HashMap<NodeId, u32> = live.iter().map(|&n| (n, 0)).collect();
-    let mut succs: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for &n in live {
-        let node = &block.nodes[n];
-        for &p in node.inputs.iter().chain(node.deps.iter()) {
-            if is_live.contains(&p) {
-                *indeg.get_mut(&n).expect("live") += 1;
-                succs.entry(p).or_default().push(n);
-            }
-        }
-    }
+    let (succs, mut indeg) = successors(block, live);
     let mut ready: Vec<NodeId> = live.iter().copied().filter(|n| indeg[n] == 0).collect();
     ready.sort_unstable();
     let mut out = Vec::with_capacity(live.len());
@@ -578,36 +346,9 @@ fn topo_order(block: &Block, live: &[NodeId]) -> Option<Vec<NodeId>> {
     (out.len() == live.len()).then_some(out)
 }
 
-/// Every value must be consumed before the *next* iteration's writeback
-/// overwrites its register: `t(use) − t(def) < latency(def) + II`.
-fn lifetimes_fit(
-    block: &Block,
-    machine: &CellMachine,
-    live: &[NodeId],
-    times: &HashMap<NodeId, u32>,
-    ii: u32,
-) -> bool {
-    for &n in live {
-        for &p in &block.nodes[n].inputs {
-            if matches!(
-                block.nodes[p].kind,
-                NodeKind::ConstF(_) | NodeKind::ConstB(_)
-            ) {
-                continue;
-            }
-            let span = i64::from(times[&n]) - i64::from(times[&p]);
-            if span >= i64::from(machine.latency_of(&block.nodes[p].kind)) + i64::from(ii) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[allow(clippy::too_many_arguments)]
 fn emit(
     block: &Block,
-    machine: &CellMachine,
     times: &HashMap<NodeId, u32>,
     ii: u32,
     stages: u32,
@@ -615,7 +356,7 @@ fn emit(
     loop_id: LoopId,
     lo: i64,
     alloc: &Allocation,
-) -> PipelinedLoop {
+) -> Option<PipelinedLoop> {
     let prologue_len = (stages - 1) * ii;
     let kernel_count = count - u64::from(stages) + 1;
     let max_t = times.values().copied().max().unwrap_or(0);
@@ -624,9 +365,10 @@ fn emit(
     // after the last kernel execution.
     let epilogue_len = (max_t + 1).saturating_sub(ii);
 
-    let mut prologue = BlockBuilder::new(prologue_len as usize);
-    let mut kernel = BlockBuilder::new(ii as usize);
-    let mut epilogue = BlockBuilder::new(epilogue_len as usize);
+    let mut prologue = BlockBuilder::new(prologue_len);
+    let mut kernel = BlockBuilder::new(ii);
+    let mut epilogue = BlockBuilder::new(epilogue_len);
+    let regs = &alloc.assignment;
 
     let mut ordered: Vec<NodeId> = times.keys().copied().collect();
     ordered.sort_unstable();
@@ -634,34 +376,21 @@ fn emit(
     for &n in &ordered {
         let t = times[&n];
         let stage = t / ii;
-        let offset = t % ii;
         // Prologue instances: iterations 0..stages−1 whose absolute time
         // falls before the steady state.
         for i in 0..u64::from(stages - 1) {
             let abs = i * u64::from(ii) + u64::from(t);
             if abs < u64::from(prologue_len) {
-                place(
-                    &mut prologue,
-                    abs as usize,
-                    block,
-                    n,
-                    &alloc.assignment,
-                    ExtBake::Fixed(lo + i as i64),
-                    loop_id,
-                );
+                let bake = ExtBake::Fixed(lo + i as i64);
+                let ext = |e: &_| bake_ext(e, &bake, loop_id);
+                prologue.place(abs as u32, block, n, regs, ext).ok()?;
             }
         }
         // Kernel: the op of stage `s` belongs to iteration
         // `k + (stages−1) − s` where k is the kernel counter.
-        place(
-            &mut kernel,
-            offset as usize,
-            block,
-            n,
-            &alloc.assignment,
-            ExtBake::Shifted(i64::from(stages - 1 - stage)),
-            loop_id,
-        );
+        let bake = ExtBake::Shifted(i64::from(stages - 1 - stage));
+        let ext = |e: &_| bake_ext(e, &bake, loop_id);
+        kernel.place(t % ii, block, n, regs, ext).ok()?;
         // Epilogue: the tail instances of the last `stages−1`
         // iterations. Iteration i executes op at absolute i·II + t; the
         // epilogue starts at absolute (kernel_count + stages − 1)·II...
@@ -669,24 +398,16 @@ fn emit(
         // count−1−d (d = 0..stages−1) lands at
         // t − (d+1)·II (only when non-negative).
         for d in 0..u64::from(stages - 1) {
-            let iter = count - 1 - d;
             let rel = i64::from(t) - (d as i64 + 1) * i64::from(ii);
             if rel >= 0 {
-                place(
-                    &mut epilogue,
-                    rel as usize,
-                    block,
-                    n,
-                    &alloc.assignment,
-                    ExtBake::Fixed(lo + iter as i64),
-                    loop_id,
-                );
+                let bake = ExtBake::Fixed(lo + (count - 1 - d) as i64);
+                let ext = |e: &_| bake_ext(e, &bake, loop_id);
+                epilogue.place(rel as u32, block, n, regs, ext).ok()?;
             }
         }
     }
-    let _ = machine;
 
-    PipelinedLoop {
+    Some(PipelinedLoop {
         prologue: prologue.finish(),
         kernel: kernel.finish(),
         epilogue: epilogue.finish(),
@@ -694,31 +415,7 @@ fn emit(
         stages,
         kernel_count,
         regs_used: alloc.regs_used,
-    }
-}
-
-struct BlockBuilder {
-    insts: Vec<MicroInst>,
-    io_events: Vec<IoEvent>,
-}
-
-impl BlockBuilder {
-    fn new(len: usize) -> BlockBuilder {
-        BlockBuilder {
-            insts: vec![MicroInst::default(); len],
-            io_events: Vec::new(),
-        }
-    }
-
-    fn finish(mut self) -> BlockCode {
-        self.io_events.sort_by_key(|e| e.cycle);
-        BlockCode {
-            insts: self.insts,
-            io_events: self.io_events,
-            adr_deadlines: vec![],
-            source: None,
-        }
-    }
+    })
 }
 
 enum ExtBake {
@@ -749,116 +446,6 @@ fn bake_ext(ext: &Option<HostSlot>, bake: &ExtBake, loop_id: LoopId) -> Option<H
             HostSlot::Elem { var: *var, index }
         }
     })
-}
-
-fn place(
-    b: &mut BlockBuilder,
-    cycle: usize,
-    block: &Block,
-    n: NodeId,
-    regs: &HashMap<NodeId, Reg>,
-    bake: ExtBake,
-    loop_id: LoopId,
-) {
-    let node: &Node = &block.nodes[n];
-    let operand = |p: NodeId| -> Operand {
-        match block.nodes[p].kind {
-            NodeKind::ConstF(v) => Operand::Imm(v),
-            NodeKind::ConstB(v) => Operand::ImmB(v),
-            _ => Operand::Reg(regs[&p]),
-        }
-    };
-    let dst = regs.get(&n).copied();
-    let inst = &mut b.insts[cycle];
-    match &node.kind {
-        NodeKind::ConstF(_) | NodeKind::ConstB(_) => {}
-        NodeKind::FAdd
-        | NodeKind::FSub
-        | NodeKind::FCmp(_)
-        | NodeKind::BAnd
-        | NodeKind::BOr
-        | NodeKind::BNot
-        | NodeKind::Select => {
-            debug_assert!(inst.fadd.is_none());
-            let op = match &node.kind {
-                NodeKind::FAdd => AluOp::Add,
-                NodeKind::FSub => AluOp::Sub,
-                NodeKind::FCmp(c) => AluOp::Cmp(*c),
-                NodeKind::BAnd => AluOp::And,
-                NodeKind::BOr => AluOp::Or,
-                NodeKind::BNot => AluOp::Not,
-                NodeKind::Select => AluOp::Select,
-                _ => unreachable!(),
-            };
-            inst.fadd = Some(FpuField {
-                op,
-                dst,
-                srcs: node.inputs.iter().map(|&p| operand(p)).collect(),
-            });
-        }
-        NodeKind::FMul | NodeKind::FDiv | NodeKind::FNeg => {
-            debug_assert!(inst.fmul.is_none());
-            let op = match &node.kind {
-                NodeKind::FMul => AluOp::Mul,
-                NodeKind::FDiv => AluOp::Div,
-                NodeKind::FNeg => AluOp::Neg,
-                _ => unreachable!(),
-            };
-            inst.fmul = Some(FpuField {
-                op,
-                dst,
-                srcs: node.inputs.iter().map(|&p| operand(p)).collect(),
-            });
-        }
-        NodeKind::Load { addr, .. } => {
-            let slot = if inst.mem[0].is_none() { 0 } else { 1 };
-            debug_assert!(inst.mem[slot].is_none());
-            inst.mem[slot] = Some(MemField::Read {
-                addr: AddrSource::Literal(addr.constant as u16),
-                dst,
-            });
-        }
-        NodeKind::Store { addr, .. } => {
-            let slot = if inst.mem[0].is_none() { 0 } else { 1 };
-            debug_assert!(inst.mem[slot].is_none());
-            inst.mem[slot] = Some(MemField::Write {
-                addr: AddrSource::Literal(addr.constant as u16),
-                src: operand(node.inputs[0]),
-            });
-        }
-        NodeKind::Recv { dir, chan, ext } => {
-            let idx = io_index(*dir, *chan);
-            debug_assert!(inst.io[idx].is_none());
-            let ext = bake_ext(ext, &bake, loop_id);
-            inst.io[idx] = Some(IoField::Recv {
-                dst,
-                ext: ext.clone(),
-            });
-            b.io_events.push(IoEvent {
-                cycle: cycle as u32,
-                dir: *dir,
-                chan: *chan,
-                is_recv: true,
-                ext,
-            });
-        }
-        NodeKind::Send { dir, chan, ext } => {
-            let idx = io_index(*dir, *chan);
-            debug_assert!(inst.io[idx].is_none());
-            let ext = bake_ext(ext, &bake, loop_id);
-            inst.io[idx] = Some(IoField::Send {
-                src: operand(node.inputs[0]),
-                ext: ext.clone(),
-            });
-            b.io_events.push(IoEvent {
-                cycle: cycle as u32,
-                dir: *dir,
-                chan: *chan,
-                is_recv: false,
-                ext,
-            });
-        }
-    }
 }
 
 #[cfg(test)]

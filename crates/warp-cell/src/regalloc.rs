@@ -1,14 +1,16 @@
 //! Register allocation for scheduled block DAGs.
 //!
-//! After scheduling, every value-producing node needs a register from its
-//! issue cycle until its last consumer issues. A linear scan over these
-//! intervals assigns physical registers; when the file is exhausted the
-//! allocator reports the value with the longest remaining lifetime so the
-//! code generator can spill it to a scratch word of cell memory and
-//! re-schedule (the real compiler allocates 32-word files per FPU; we
-//! model a unified file, see [`crate::machine`]).
+//! After scheduling, every value-producing node needs a register from
+//! its writeback until its last consumer issues (`value_lifetimes`).
+//! A linear scan over these intervals assigns physical registers; when
+//! the file is exhausted the allocator reports the value with the
+//! longest remaining lifetime so the code generator can spill it to a
+//! scratch word of cell memory and re-schedule (the real compiler
+//! allocates 32-word files per FPU; we model a unified file, see
+//! [`crate::machine`]). A modulo schedule folds the same lifetimes into
+//! cyclic arcs of the kernel ([`allocate_modulo`]).
 
-use crate::machine::Unit;
+use crate::machine::{CellMachine, Unit};
 use crate::mcode::Reg;
 use crate::sched::BlockSchedule;
 use std::collections::{HashMap, HashSet};
@@ -34,6 +36,41 @@ pub struct SpillNeeded {
     pub victim: Option<NodeId>,
 }
 
+/// The register lifetime `(write, last_read, node)` of every value of
+/// `block` when node `n` issues at `time_of(n)`: the register is
+/// written at `t(def) + latency` (until then the value is in the unit's
+/// pipeline) and read for the last time when its latest consumer
+/// issues. Literals live in the instruction word, stores and sends
+/// produce nothing, and an unread result is discarded: none of them
+/// holds a register.
+fn value_lifetimes(
+    block: &Block,
+    machine: &CellMachine,
+    time_of: impl Fn(NodeId) -> u32,
+) -> Vec<(u32, u32, NodeId)> {
+    let live = block.live_nodes();
+    let mut last_read: HashMap<NodeId, u32> = HashMap::new();
+    for &n in &live {
+        for &p in &block.nodes[n].inputs {
+            let t = time_of(n);
+            let e = last_read.entry(p).or_insert(t);
+            *e = (*e).max(t);
+        }
+    }
+    live.into_iter()
+        .filter_map(|n| {
+            let kind = &block.nodes[n].kind;
+            if machine.unit_of(kind) == Unit::None
+                || matches!(kind, NodeKind::Store { .. } | NodeKind::Send { .. })
+            {
+                return None;
+            }
+            let write = time_of(n) + machine.latency_of(kind);
+            Some((write, *last_read.get(&n)?, n))
+        })
+        .collect()
+}
+
 /// Runs linear scan over the value intervals of `block` under `sched`.
 ///
 /// # Errors
@@ -42,7 +79,7 @@ pub struct SpillNeeded {
 /// once.
 pub fn allocate(
     block: &Block,
-    machine: &crate::machine::CellMachine,
+    machine: &CellMachine,
     sched: &BlockSchedule,
     registers: u32,
 ) -> Result<Allocation, SpillNeeded> {
@@ -53,42 +90,13 @@ pub fn allocate(
 /// that were already spilled) as the next spill victim.
 pub fn allocate_excluding(
     block: &Block,
-    machine: &crate::machine::CellMachine,
+    machine: &CellMachine,
     sched: &BlockSchedule,
     registers: u32,
     no_spill: &HashSet<NodeId>,
 ) -> Result<Allocation, SpillNeeded> {
-    let live = block.live_nodes();
-    // Last use (issue cycle of the latest consumer) per producing node.
-    let mut last_use: HashMap<NodeId, u32> = HashMap::new();
-    for &n in &live {
-        for &p in &block.nodes[n].inputs {
-            let t = sched.time[&n];
-            let e = last_use.entry(p).or_insert(t);
-            *e = (*e).max(t);
-        }
-    }
-
-    // Intervals: [def, last_use] for nodes that need a register.
-    let mut intervals: Vec<(u32, u32, NodeId)> = Vec::new();
-    for &n in &live {
-        let kind = &block.nodes[n].kind;
-        if machine.unit_of(kind) == Unit::None {
-            continue; // literals live in the instruction word
-        }
-        if matches!(kind, NodeKind::Store { .. } | NodeKind::Send { .. }) {
-            continue; // no result value
-        }
-        let Some(&end) = last_use.get(&n) else {
-            continue; // result discarded
-        };
-        // The register is written at issue + latency; until then the
-        // value is in the unit's pipeline and occupies no register.
-        let def = sched.time[&n] + machine.latency_of(kind);
-        intervals.push((def, end, n));
-    }
-    intervals.sort_by_key(|&(def, end, n)| (def, end, n));
-
+    let mut intervals = value_lifetimes(block, machine, |n| sched.time[&n]);
+    intervals.sort_unstable();
     let mut free: Vec<Reg> = (0..registers as u16).rev().map(Reg).collect();
     let mut active: Vec<(u32, Reg, NodeId)> = Vec::new(); // (end, reg, node)
     let mut assignment = HashMap::new();
@@ -142,54 +150,29 @@ pub fn allocate_excluding(
 
 /// Register assignment for a modulo-scheduled loop (see
 /// [`crate::modulo`]). In the steady state every value's lifetime is a
-/// *cyclic arc* of the II-cycle kernel: the value is written at
-/// `t(def) + latency` and read for the last time at most II−1 cycles
-/// later (guaranteed by the scheduler's lifetime check), so its arc
-/// spans at most one full revolution. Two values may share a register
-/// iff their arcs are disjoint modulo II — disjoint arcs are disjoint
-/// at every absolute cycle, and the prologue/epilogue execute subsets
-/// of the steady state, so the sharing is safe there too. A first-fit
-/// pack over the arcs assigns registers; returns `None` when more than
-/// `machine.registers` are needed (the caller then tries a larger II
-/// or falls back to the list schedule).
+/// *cyclic arc* of the II-cycle kernel, which must span at most one
+/// revolution: a fixed register per value works for all in-flight
+/// iterations (no modulo variable expansion) only if the last read
+/// comes less than II cycles after the write, so that the next
+/// iteration's writeback lands strictly after it. Two values may share
+/// a register iff their arcs are disjoint modulo II — disjoint arcs are
+/// disjoint at every absolute cycle, and the prologue/epilogue execute
+/// subsets of the steady state, so the sharing is safe there too. A
+/// first-fit pack over the arcs assigns registers; returns `None` when
+/// a lifetime outlasts the II or more than `machine.registers` are
+/// needed (the caller then tries a larger II or falls back to the list
+/// schedule).
 pub fn allocate_modulo(
     block: &Block,
-    machine: &crate::machine::CellMachine,
+    machine: &CellMachine,
     times: &HashMap<NodeId, u32>,
     ii: u32,
 ) -> Option<Allocation> {
-    let live = block.live_nodes();
-    let mut last_use: HashMap<NodeId, u32> = HashMap::new();
-    for &n in &live {
-        for &p in &block.nodes[n].inputs {
-            let t = times[&n];
-            let e = last_use.entry(p).or_insert(t);
-            *e = (*e).max(t);
-        }
-    }
+    let mut arcs = value_lifetimes(block, machine, |n| times[&n]);
+    arcs.sort_unstable();
 
-    // Arcs: (write cycle, length, node), length in 1..=II.
-    let mut arcs: Vec<(u32, u32, NodeId)> = Vec::new();
-    for &n in &live {
-        let kind = &block.nodes[n].kind;
-        if machine.unit_of(kind) == Unit::None {
-            continue; // literals live in the instruction word
-        }
-        if matches!(kind, NodeKind::Store { .. } | NodeKind::Send { .. }) {
-            continue; // no result value
-        }
-        let Some(&end) = last_use.get(&n) else {
-            continue; // result discarded
-        };
-        let write = times[&n] + machine.latency_of(kind);
-        // Consumers issue no earlier than the writeback and (lifetime
-        // check) strictly less than II cycles after it.
-        debug_assert!(end >= write && end - write < ii);
-        arcs.push((write, end - write + 1, n));
-    }
-    arcs.sort_by_key(|&(w, l, n)| (w, l, n));
-
-    // First-fit: a register is a set of pairwise-disjoint arcs.
+    // First-fit: a register is a set of pairwise-disjoint arcs
+    // `(start slot, length)`.
     let in_arc = |start: u32, len: u32, x: u32| (x + ii - start) % ii < len;
     let overlap = |(s1, l1): (u32, u32), (s2, l2): (u32, u32)| {
         // Arcs of length ≤ II overlap iff either start lies inside the
@@ -198,11 +181,14 @@ pub fn allocate_modulo(
     };
     let mut reg_arcs: Vec<Vec<(u32, u32)>> = Vec::new();
     let mut assignment = HashMap::new();
-    for (write, len, n) in arcs {
-        let start = write % ii;
+    for (write, last_read, n) in arcs {
+        let arc = (write % ii, last_read - write + 1);
+        if arc.1 > ii {
+            return None; // the next iteration would overwrite it unread
+        }
         let reg = reg_arcs
             .iter()
-            .position(|held| held.iter().all(|&h| !overlap((start, len), h)))
+            .position(|held| held.iter().all(|&h| !overlap(arc, h)))
             .unwrap_or_else(|| {
                 reg_arcs.push(Vec::new());
                 reg_arcs.len() - 1
@@ -210,7 +196,7 @@ pub fn allocate_modulo(
         if reg >= machine.registers as usize {
             return None;
         }
-        reg_arcs[reg].push((start, len));
+        reg_arcs[reg].push(arc);
         assignment.insert(n, Reg(reg as u16));
     }
     Some(Allocation {
@@ -384,6 +370,11 @@ mod tests {
         let times: HashMap<NodeId, u32> = [(r, 0), (a, 2), (s, 9)].into_iter().collect();
         let alloc = allocate_modulo(&b, &m, &times, 4).expect("fits");
         assert_eq!(alloc.regs_used, 2, "overlapping arcs get distinct regs");
+
+        // With the send at 11 the add's value, written at 7, would still
+        // be unread when the next iteration overwrites it at 11.
+        let times: HashMap<NodeId, u32> = [(r, 0), (a, 2), (s, 11)].into_iter().collect();
+        assert!(allocate_modulo(&b, &m, &times, 4).is_none());
     }
 
     #[test]

@@ -1,17 +1,22 @@
-//! List scheduling of block DAGs onto the cell datapath.
+//! Schedules of block DAGs on the cell datapath.
 //!
 //! The paper bases cell scheduling on hardware pipelining techniques
-//! (Patel & Davidson; Rau & Glaeser — §6.2). This module implements
-//! classic resource-constrained list scheduling with critical-path
-//! priority: each DAG node is assigned an issue cycle such that
+//! (Patel & Davidson; Rau & Glaeser — §6.2). A schedule assigns every
+//! DAG node an issue cycle; a modulo schedule (see [`crate::modulo`])
+//! additionally repeats every II cycles. Either kind is legal when
 //!
-//! * every value operand was issued at least `latency(producer)` cycles
-//!   earlier,
-//! * every sequencing dep was issued at least 1 cycle earlier,
+//! * every precedence edge of [`build_edges`] holds: a value operand
+//!   was issued at least `latency(producer)` cycles earlier, a
+//!   sequencing dep at least 1 cycle earlier, and (when the schedule
+//!   wraps) loop-carried FIFO and memory order survives the overlap,
 //! * no cycle over-subscribes a functional unit (1 op per FPU, 2 memory
 //!   references, 1 op per I/O port).
+//!
+//! This module holds that shared definition ([`EdgeSpec`], a table of
+//! `UnitRow`s, one legality check) and the classic resource-constrained
+//! list scheduler with critical-path priority.
 
-use crate::machine::{CellMachine, Unit};
+use crate::machine::{io_index, CellMachine, Unit, UnitRow};
 use std::collections::HashMap;
 use warp_ir::{Block, NodeId, NodeKind};
 
@@ -24,35 +29,181 @@ pub struct BlockSchedule {
     pub len: u32,
 }
 
-/// Per-cycle resource usage.
-#[derive(Clone, Debug, Default)]
-struct CycleRes {
-    add_fpu: bool,
-    mul_fpu: bool,
-    mem: u32,
-    io: [bool; 4],
+/// One precedence constraint `t(to) ≥ t(from) + lat − dist·II`.
+#[derive(Clone, Copy, Debug)]
+pub struct EdgeSpec {
+    /// Producing (or earlier) op.
+    pub from: NodeId,
+    /// Consuming (or later) op.
+    pub to: NodeId,
+    /// Minimum issue distance in cycles.
+    pub lat: i64,
+    /// Iteration distance (0 = same iteration, 1 = loop-carried).
+    pub dist: i64,
 }
 
-impl CycleRes {
-    fn can_take(&self, unit: Unit, machine: &CellMachine) -> bool {
-        match unit {
-            Unit::AddFpu => !self.add_fpu,
-            Unit::MulFpu => !self.mul_fpu,
-            Unit::Mem => self.mem < machine.mem_ports,
-            Unit::Io(i) => !self.io[i],
-            Unit::None => true,
+/// All precedence constraints: `t(to) ≥ t(from) + lat − dist·II`.
+pub fn build_edges(block: &Block, machine: &CellMachine, live: &[NodeId]) -> Vec<EdgeSpec> {
+    let mut edges = Vec::new();
+    for &n in live {
+        let node = &block.nodes[n];
+        for &p in &node.inputs {
+            if matches!(
+                block.nodes[p].kind,
+                NodeKind::ConstF(_) | NodeKind::ConstB(_)
+            ) {
+                continue;
+            }
+            edges.push(EdgeSpec {
+                from: p,
+                to: n,
+                lat: i64::from(machine.latency_of(&block.nodes[p].kind).max(1)),
+                dist: 0,
+            });
+        }
+        for &d in &node.deps {
+            edges.push(EdgeSpec {
+                from: d,
+                to: n,
+                lat: 1,
+                dist: 0,
+            });
         }
     }
 
-    fn take(&mut self, unit: Unit) {
-        match unit {
-            Unit::AddFpu => self.add_fpu = true,
-            Unit::MulFpu => self.mul_fpu = true,
-            Unit::Mem => self.mem += 1,
-            Unit::Io(i) => self.io[i] = true,
-            Unit::None => {}
+    // Channel FIFO order across iterations: the last op of iteration i
+    // precedes the first op of iteration i+1 in absolute time.
+    let mut per_port: HashMap<(usize, bool), Vec<NodeId>> = HashMap::new();
+    for &n in live {
+        match &block.nodes[n].kind {
+            NodeKind::Recv { dir, chan, .. } => per_port
+                .entry((io_index(*dir, *chan), true))
+                .or_default()
+                .push(n),
+            NodeKind::Send { dir, chan, .. } => per_port
+                .entry((io_index(*dir, *chan), false))
+                .or_default()
+                .push(n),
+            _ => {}
         }
     }
+    for ops in per_port.values() {
+        if let (Some(&first), Some(&last)) = (ops.first(), ops.last()) {
+            edges.push(EdgeSpec {
+                from: last,
+                to: first,
+                lat: 1,
+                dist: 1,
+            });
+        }
+    }
+
+    // Memory cells (constant addresses) shared by all iterations: any
+    // two conflicting accesses must keep their relative order across
+    // iterations too.
+    let mut per_addr: HashMap<i64, Vec<(NodeId, bool)>> = HashMap::new();
+    for &n in live {
+        match &block.nodes[n].kind {
+            NodeKind::Load { addr, .. } => {
+                per_addr.entry(addr.constant).or_default().push((n, false))
+            }
+            NodeKind::Store { addr, .. } => {
+                per_addr.entry(addr.constant).or_default().push((n, true))
+            }
+            _ => {}
+        }
+    }
+    for ops in per_addr.values() {
+        for &(a, a_store) in ops {
+            for &(b, b_store) in ops {
+                if a == b || (!a_store && !b_store) {
+                    continue;
+                }
+                // b of iteration i+1 must follow a of iteration i.
+                edges.push(EdgeSpec {
+                    from: a,
+                    to: b,
+                    lat: 1,
+                    dist: 1,
+                });
+            }
+        }
+    }
+    edges
+}
+
+/// Successor lists and predecessor counts over the value and sequencing
+/// edges of the live nodes (liveness is closed under both, so every
+/// predecessor is itself in `live`).
+pub(crate) fn successors(
+    block: &Block,
+    live: &[NodeId],
+) -> (HashMap<NodeId, Vec<NodeId>>, HashMap<NodeId, u32>) {
+    let mut succs: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+    let mut preds: HashMap<NodeId, u32> = HashMap::new();
+    for &n in live {
+        let node = &block.nodes[n];
+        for &p in node.inputs.iter().chain(&node.deps) {
+            succs.entry(p).or_default().push(n);
+        }
+        preds.insert(n, (node.inputs.len() + node.deps.len()) as u32);
+    }
+    (succs, preds)
+}
+
+/// The one legality check behind [`validate`] and
+/// [`crate::modulo::validate_modulo`]. The schedule occupies `rows`
+/// unit rows: a list schedule one per cycle of the block, a modulo
+/// schedule (`wraps`) one per cycle of the II. When it wraps, an op
+/// issued at `t` lands in row `t % rows` and a loop-carried edge gains
+/// `dist · rows` cycles of slack; when it does not, only same-iteration
+/// edges apply and every op must lie inside the block.
+///
+/// # Errors
+///
+/// Returns a description of the first violated constraint.
+pub(crate) fn check(
+    block: &Block,
+    machine: &CellMachine,
+    live: &[NodeId],
+    edges: &[EdgeSpec],
+    time: &HashMap<NodeId, u32>,
+    rows: u32,
+    wraps: bool,
+) -> Result<(), String> {
+    for e in edges {
+        let (Some(&tf), Some(&tt)) = (time.get(&e.from), time.get(&e.to)) else {
+            continue;
+        };
+        if e.dist != 0 && !wraps {
+            continue;
+        }
+        if i64::from(tt) < i64::from(tf) + e.lat - e.dist * i64::from(rows) {
+            return Err(format!(
+                "edge {:?}->{:?} (lat {}, dist {}) violated: t={tf} vs t={tt} over {rows} rows",
+                e.from, e.to, e.lat, e.dist
+            ));
+        }
+    }
+    let mut table = vec![UnitRow::default(); rows as usize];
+    for &n in live {
+        let unit = machine.unit_of(&block.nodes[n].kind);
+        if unit == Unit::None {
+            continue;
+        }
+        let &t = time
+            .get(&n)
+            .ok_or_else(|| format!("live op {n:?} is unscheduled"))?;
+        let r = if wraps { t % rows } else { t };
+        let row = table
+            .get_mut(r as usize)
+            .ok_or_else(|| format!("{n:?}@{t} beyond block length {rows}"))?;
+        if !row.is_free(unit, machine) {
+            return Err(format!("{unit:?} oversubscribed in row {r}"));
+        }
+        row.take(unit, n);
+    }
+    Ok(())
 }
 
 /// Computes a legal schedule for `block` on `machine`.
@@ -64,22 +215,7 @@ pub fn schedule(block: &Block, machine: &CellMachine) -> BlockSchedule {
     if live.is_empty() {
         return BlockSchedule::default();
     }
-    let is_live: std::collections::HashSet<NodeId> = live.iter().copied().collect();
-
-    // Successors and predecessor counts over value + sequencing edges.
-    let mut succs: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    let mut preds_left: HashMap<NodeId, u32> = HashMap::new();
-    for &n in &live {
-        let node = &block.nodes[n];
-        let mut count = 0;
-        for &p in node.inputs.iter().chain(node.deps.iter()) {
-            if is_live.contains(&p) {
-                succs.entry(p).or_default().push(n);
-                count += 1;
-            }
-        }
-        preds_left.insert(n, count);
-    }
+    let (succs, mut preds_left) = successors(block, &live);
 
     // Critical-path priority: height to the furthest sink, weighted by
     // result latency.
@@ -109,7 +245,7 @@ pub fn schedule(block: &Block, machine: &CellMachine) -> BlockSchedule {
         }
     }
 
-    let mut res: Vec<CycleRes> = Vec::new();
+    let mut rows: Vec<UnitRow> = Vec::new();
     let mut scheduled = 0usize;
     let mut cycle: u32 = 0;
     let mut max_issue: u32 = 0;
@@ -133,14 +269,14 @@ pub fn schedule(block: &Block, machine: &CellMachine) -> BlockSchedule {
                 // Literal: free at its earliest cycle.
                 time.insert(n, earliest[&n]);
             } else {
-                while res.len() <= cycle as usize {
-                    res.push(CycleRes::default());
+                while rows.len() <= cycle as usize {
+                    rows.push(UnitRow::default());
                 }
-                if !res[cycle as usize].can_take(unit, machine) {
+                if !rows[cycle as usize].is_free(unit, machine) {
                     i += 1;
                     continue;
                 }
-                res[cycle as usize].take(unit);
+                rows[cycle as usize].take(unit, n);
                 time.insert(n, cycle);
                 max_issue = max_issue.max(cycle);
                 any_real = true;
@@ -174,11 +310,8 @@ pub fn schedule(block: &Block, machine: &CellMachine) -> BlockSchedule {
             if ready.iter().all(|&n| {
                 earliest[&n] > cycle || {
                     let unit = machine.unit_of(&block.nodes[n].kind);
-                    unit != Unit::None
-                        && res
-                            .get(cycle as usize)
-                            .map(|r| !r.can_take(unit, machine))
-                            .unwrap_or(false)
+                    rows.get(cycle as usize)
+                        .is_some_and(|r| !r.is_free(unit, machine))
                 }
             }) {
                 cycle += 1;
@@ -190,7 +323,7 @@ pub fn schedule(block: &Block, machine: &CellMachine) -> BlockSchedule {
         time,
         len: if any_real { max_issue + 1 } else { 0 },
     };
-    sink_loads(block, machine, &mut sched);
+    sink_loads(block, machine, &mut rows, &mut sched);
     sched
 }
 
@@ -201,15 +334,13 @@ pub fn schedule(block: &Block, machine: &CellMachine) -> BlockSchedule {
 /// block. Sinking each load towards its first consumer shortens live
 /// ranges, which is what lets the spill-and-reschedule loop in
 /// [`crate::codegen`] converge under small register files.
-fn sink_loads(block: &Block, machine: &CellMachine, sched: &mut BlockSchedule) {
+fn sink_loads(
+    block: &Block,
+    machine: &CellMachine,
+    rows: &mut [UnitRow],
+    sched: &mut BlockSchedule,
+) {
     let live = block.live_nodes();
-    // Memory-port usage per cycle.
-    let mut mem_use: HashMap<u32, u32> = HashMap::new();
-    for &n in &live {
-        if machine.unit_of(&block.nodes[n].kind) == Unit::Mem {
-            *mem_use.entry(sched.time[&n]).or_insert(0) += 1;
-        }
-    }
     // Earliest consumer per node, and dep successors to respect.
     let mut first_use: HashMap<NodeId, u32> = HashMap::new();
     let mut dep_succ: HashMap<NodeId, u32> = HashMap::new();
@@ -244,22 +375,14 @@ fn sink_loads(block: &Block, machine: &CellMachine, sched: &mut BlockSchedule) {
         if upper == u32::MAX {
             continue; // result unused and nothing ordered after: leave it
         }
-        if upper <= t {
-            continue;
-        }
-        // Latest cycle in (t, upper] with a free port.
-        let mut target = None;
-        let mut c = upper;
-        while c > t {
-            if mem_use.get(&c).copied().unwrap_or(0) < machine.mem_ports {
-                target = Some(c);
-                break;
-            }
-            c -= 1;
-        }
+        // Latest cycle in (t, upper] with a free port. `upper` is bounded
+        // by the issue cycle of a unit-holding op, so its row exists.
+        let target = (t + 1..=upper)
+            .rev()
+            .find(|&c| rows[c as usize].is_free(Unit::Mem, machine));
         if let Some(c) = target {
-            *mem_use.get_mut(&t).expect("load counted") -= 1;
-            *mem_use.entry(c).or_insert(0) += 1;
+            rows[t as usize].release(Unit::Mem, n);
+            rows[c as usize].take(Unit::Mem, n);
             sched.time.insert(n, c);
         }
     }
@@ -273,41 +396,8 @@ fn sink_loads(block: &Block, machine: &CellMachine, sched: &mut BlockSchedule) {
 /// and property checks.
 pub fn validate(block: &Block, machine: &CellMachine, sched: &BlockSchedule) -> Result<(), String> {
     let live = block.live_nodes();
-    let mut res: HashMap<u32, CycleRes> = HashMap::new();
-    for &n in &live {
-        let node = &block.nodes[n];
-        let &t = sched
-            .time
-            .get(&n)
-            .ok_or_else(|| format!("{n:?} not scheduled"))?;
-        for &p in &node.inputs {
-            let pt = sched.time[&p];
-            let lat = machine.latency_of(&block.nodes[p].kind);
-            if machine.unit_of(&block.nodes[p].kind) != Unit::None && t < pt + lat {
-                return Err(format!(
-                    "{n:?}@{t} issued before operand {p:?}@{pt}+{lat} is ready"
-                ));
-            }
-        }
-        for &d in &node.deps {
-            let dt = sched.time[&d];
-            if t <= dt {
-                return Err(format!("{n:?}@{t} not after dep {d:?}@{dt}"));
-            }
-        }
-        let unit = machine.unit_of(&node.kind);
-        if unit != Unit::None {
-            let r = res.entry(t).or_default();
-            if !r.can_take(unit, machine) {
-                return Err(format!("resource conflict at cycle {t} on {unit:?}"));
-            }
-            r.take(unit);
-            if t >= sched.len {
-                return Err(format!("{n:?}@{t} beyond block length {}", sched.len));
-            }
-        }
-    }
-    Ok(())
+    let edges = build_edges(block, machine, &live);
+    check(block, machine, &live, &edges, &sched.time, sched.len, false)
 }
 
 #[cfg(test)]
