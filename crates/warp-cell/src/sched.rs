@@ -172,12 +172,12 @@ pub(crate) fn check(
     wraps: bool,
 ) -> Result<(), String> {
     for e in edges {
-        let (Some(&tf), Some(&tt)) = (time.get(&e.from), time.get(&e.to)) else {
-            continue;
-        };
         if e.dist != 0 && !wraps {
             continue;
         }
+        let (Some(&tf), Some(&tt)) = (time.get(&e.from), time.get(&e.to)) else {
+            continue;
+        };
         if i64::from(tt) < i64::from(tf) + e.lat - e.dist * i64::from(rows) {
             return Err(format!(
                 "edge {:?}->{:?} (lat {}, dist {}) violated: t={tf} vs t={tt} over {rows} rows",

@@ -319,6 +319,19 @@ impl PartialEq for CancelToken {
 
 impl Eq for CancelToken {}
 
+/// The message of a caught panic (the payload `catch_unwind` or a
+/// thread join returns): the `&str` or `String` that `panic!` carried,
+/// or a fixed text for any other payload type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}
+
 /// SplitMix64: the tiny deterministic generator behind seeded fault
 /// corruption masks, audit input data, and the service layer's retry
 /// jitter. Stateless: feed it any counter or hash.

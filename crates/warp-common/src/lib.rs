@@ -7,8 +7,6 @@
 //!   Gross & Lam (PLDI 1986, §6.2.1) bounds differences of I/O timing
 //!   functions whose coefficients are rationals such as `5/3` or `52/3`;
 //!   floating point would make those bounds unsound.
-//! * [`Symbol`] and [`Interner`] — cheap interned identifiers for the W2
-//!   front end and IR.
 //! * [`Span`] — byte-range source locations for diagnostics.
 //! * [`Diagnostic`] and [`DiagnosticBag`] — structured compile errors and
 //!   warnings.
@@ -35,7 +33,6 @@ pub mod ctrl;
 pub mod diag;
 pub mod hash;
 pub mod idvec;
-pub mod intern;
 pub mod observe;
 pub mod queue;
 pub mod rat;
@@ -44,12 +41,12 @@ pub mod vfs;
 pub mod wire;
 
 pub use ctrl::{
-    splitmix64, CancelReason, CancelToken, Clock, ManualClock, SplitMix64, SystemClock,
+    panic_message, splitmix64, CancelReason, CancelToken, Clock, ManualClock, SplitMix64,
+    SystemClock,
 };
 pub use diag::{Diagnostic, DiagnosticBag, Severity};
 pub use hash::{fnv1a64, ContentKey, StableHasher};
 pub use idvec::IdVec;
-pub use intern::{Interner, Symbol};
 pub use observe::{Artifact, CollectDumps, NullObserver, PassDump, PassObserver, PassTiming};
 pub use queue::RingQueue;
 pub use rat::Rat;

@@ -111,7 +111,7 @@ pub fn cache_key(source: &str, opts: &CompileOptions, ctrl: &SessionCtrl) -> Con
     let mut h2 = StableHasher::with_seed(0x7761_7270_6363_6368); // "warpccch"
     for h in [&mut h, &mut h2] {
         h.write_str(source);
-        // `Debug` of CompileOptions covers machine/iu/lower/skew_method
+        // `Debug` of CompileOptions covers machine/iu/lower
         // exhaustively and keeps working when fields are added.
         h.write_str(&format!("{opts:?}"));
         h.write_u64(ctrl.skew_max_events);

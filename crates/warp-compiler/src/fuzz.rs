@@ -38,7 +38,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
-use warp_common::{splitmix64, CancelToken, SplitMix64, SystemClock};
+use warp_common::{panic_message, splitmix64, CancelToken, SplitMix64, SystemClock};
 use warp_oracle::{shrink_lines, Mutator};
 
 /// Configuration for one fuzzing run.
@@ -319,16 +319,6 @@ fn compile_input(input: &[u8], opts: &FuzzOptions) -> FuzzVerdict {
 
 fn contains(haystack: &[u8], needle: &[u8]) -> bool {
     !needle.is_empty() && haystack.windows(needle.len()).any(|w| w == needle)
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }
 
 /// Silences the default panic hook for panics on *this* thread while

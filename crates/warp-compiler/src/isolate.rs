@@ -36,7 +36,7 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use warp_common::{wire, CancelToken, ManualClock};
+use warp_common::{panic_message, wire, CancelToken, ManualClock};
 use warp_common::{wire_enum, wire_struct};
 
 use crate::{audit, CompileFailure, CompileOptions, ExecBackend, Session, SessionCtrl};
@@ -194,16 +194,6 @@ pub fn execute_request(req: &IsolateRequest) -> IsolateVerdict {
         Err(payload) => IsolateVerdict::Panicked {
             what: panic_message(&payload),
         },
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_owned()
     }
 }
 

@@ -72,7 +72,7 @@ use warp_host::{HostError, HostMemory, HostProgram};
 use warp_ir::{comm, CellIr, LowerOptions};
 use warp_iu::{IuOptions, IuProgram};
 use warp_sim::{FaultReport, MachineConfig, RunReport, SimError, SimOptions, StaticClaims};
-use warp_skew::{SkewMethod, SkewReport};
+use warp_skew::SkewReport;
 
 /// Options for one compilation.
 #[derive(Clone, Debug, Default)]
@@ -83,8 +83,6 @@ pub struct CompileOptions {
     pub iu: IuOptions,
     /// Lowering/optimization options.
     pub lower: LowerOptions,
-    /// Skew computation method.
-    pub skew_method: SkewMethod,
 }
 
 /// Which executor serves a compiled module's runs.

@@ -1,13 +1,12 @@
 //! One compilation as an explicit, observable pass pipeline.
 //!
-//! [`Session`] owns the [`CompileOptions`], accumulates diagnostics in
-//! a shared [`DiagnosticBag`], and drives the nine passes of
-//! [`PIPELINE`](crate::passes::PIPELINE) in order, timing each one and
-//! reporting its output artifact to an attached
-//! [`PassObserver`](warp_common::PassObserver). The plain
-//! [`compile`](crate::compile) function is a thin wrapper over a
-//! session with no observer; [`compile_many`] batch-compiles several
-//! sources on scoped threads.
+//! [`Session`] owns the [`CompileOptions`] and drives the nine passes
+//! of [`PIPELINE`](crate::passes::PIPELINE) in order, checking the
+//! cancel token before each one, timing it, and reporting its output
+//! artifact to an attached [`PassObserver`](warp_common::PassObserver).
+//! The plain [`compile`](crate::compile) function is a thin wrapper
+//! over a session with no observer; [`compile_many`] batch-compiles
+//! several sources on a short-lived worker pool.
 
 use crate::{CompileFailure, CompileOptions, CompiledModule, Metrics, SessionCtrl};
 use std::time::Instant;
@@ -18,7 +17,7 @@ use warp_common::{Diagnostic, DiagnosticBag};
 use warp_host::host_codegen;
 use warp_ir::rewrite::{rewrite_module, RewriteOptions, RewriteStats};
 use warp_ir::{comm, decompose, lower};
-use warp_skew::{analyze, SkewOptions};
+use warp_skew::{analyze, SkewError, SkewMethod, SkewOptions, TimingOverflow};
 
 /// Artifact of the `rewrite` pass: the per-pattern application counts,
 /// rendered as a stable name-sorted table for `--dump-after rewrite`.
@@ -41,7 +40,29 @@ impl Artifact for RewriteArtifact {
     }
 }
 
-/// A single compilation: options, shared diagnostics, and an optional
+/// Why a pass body failed: it rejected the program, or (the skew pass
+/// only) its exact timing arithmetic overflowed.
+enum PassError {
+    Rejected(DiagnosticBag),
+    Overflow(TimingOverflow),
+}
+
+impl From<DiagnosticBag> for PassError {
+    fn from(diags: DiagnosticBag) -> PassError {
+        PassError::Rejected(diags)
+    }
+}
+
+impl From<SkewError> for PassError {
+    fn from(e: SkewError) -> PassError {
+        match e {
+            SkewError::Diagnostics(diags) => PassError::Rejected(diags),
+            SkewError::Overflow(o) => PassError::Overflow(o),
+        }
+    }
+}
+
+/// A single compilation: options, resource controls, and an optional
 /// pass observer.
 ///
 /// # Examples
@@ -61,7 +82,6 @@ impl Artifact for RewriteArtifact {
 pub struct Session<'obs> {
     opts: CompileOptions,
     ctrl: SessionCtrl,
-    diags: DiagnosticBag,
     observer: Option<&'obs mut dyn PassObserver>,
     timings: Vec<PassTiming>,
 }
@@ -72,7 +92,6 @@ impl Session<'static> {
         Session {
             opts,
             ctrl: SessionCtrl::default(),
-            diags: DiagnosticBag::new(),
             observer: None,
             timings: Vec::new(),
         }
@@ -88,7 +107,6 @@ impl<'obs> Session<'obs> {
         Session {
             opts,
             ctrl: SessionCtrl::default(),
-            diags: DiagnosticBag::new(),
             observer: Some(observer),
             timings: Vec::new(),
         }
@@ -107,19 +125,26 @@ impl<'obs> Session<'obs> {
         &self.opts
     }
 
-    /// Runs one pass: notifies the observer, times the body, records
-    /// the [`PassTiming`], and hands the artifact to the observer. A
-    /// failing pass merges its diagnostics into the session bag.
-    fn run_pass<T: Artifact>(
+    /// Runs one pass: checks the cancel token at the pass boundary,
+    /// notifies the observer, times the body, records the
+    /// [`PassTiming`], and hands the artifact to the observer. A pass
+    /// that rejects the program while the cancel token is tripped was
+    /// interrupted (e.g. the skew enumeration observing the token
+    /// mid-pass), not rejected. Timing-arithmetic overflow is its own
+    /// failure class: the program may be well-formed, but its schedule
+    /// cannot be represented.
+    fn pass<T: Artifact, E: Into<PassError>>(
         &mut self,
         name: &'static str,
-        f: impl FnOnce(&CompileOptions) -> Result<T, DiagnosticBag>,
-    ) -> Result<T, DiagnosticBag> {
+        f: impl FnOnce(&CompileOptions) -> Result<T, E>,
+    ) -> Result<T, CompileFailure> {
+        let interrupted = |reason| CompileFailure::Interrupted { pass: name, reason };
+        self.ctrl.cancel.check().map_err(interrupted)?;
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.enter_pass(name);
         }
         let start = Instant::now();
-        match f(&self.opts) {
+        match f(&self.opts).map_err(Into::into) {
             Ok(artifact) => {
                 let elapsed = start.elapsed();
                 self.timings.push(PassTiming {
@@ -131,28 +156,14 @@ impl<'obs> Session<'obs> {
                 }
                 Ok(artifact)
             }
-            Err(diags) => {
-                self.diags.extend(diags);
-                Err(std::mem::replace(&mut self.diags, DiagnosticBag::new()))
-            }
-        }
-    }
-
-    /// Checks the cancel token at a pass boundary.
-    fn checkpoint(&self, pass: &'static str) -> Result<(), CompileFailure> {
-        self.ctrl
-            .cancel
-            .check()
-            .map_err(|reason| CompileFailure::Interrupted { pass, reason })
-    }
-
-    /// Classifies a failing pass: a pass that fails while the session's
-    /// cancel token is tripped was interrupted (e.g. the skew
-    /// enumeration observing the token mid-pass), not rejected.
-    fn classify(&self, pass: &'static str, diags: DiagnosticBag) -> CompileFailure {
-        match self.ctrl.cancel.check() {
-            Err(reason) => CompileFailure::Interrupted { pass, reason },
-            Ok(()) => CompileFailure::Diagnostics(diags),
+            Err(PassError::Rejected(diags)) => Err(match self.ctrl.cancel.check() {
+                Err(reason) => interrupted(reason),
+                Ok(()) => CompileFailure::Diagnostics(diags),
+            }),
+            Err(PassError::Overflow(o)) => Err(CompileFailure::TimingOverflow {
+                pass: name,
+                detail: o.to_string(),
+            }),
         }
     }
 
@@ -161,8 +172,7 @@ impl<'obs> Session<'obs> {
     ///
     /// # Errors
     ///
-    /// Returns the session's accumulated diagnostics from whichever
-    /// pass rejected the program.
+    /// Returns the diagnostics of whichever pass rejected the program.
     pub fn compile(self, source: &str) -> Result<CompiledModule, DiagnosticBag> {
         self.try_compile(source)
             .map_err(CompileFailure::into_diagnostics)
@@ -205,13 +215,9 @@ impl<'obs> Session<'obs> {
             }
         }
 
-        self.checkpoint("frontend")?;
-        let hir = self
-            .run_pass("frontend", |_| parse_and_check(source))
-            .map_err(|d| self.classify("frontend", d))?;
+        let hir = self.pass("frontend", |_| parse_and_check(source))?;
 
-        self.checkpoint("comm")?;
-        let comm_report = self.run_pass("comm", |_| {
+        let comm_report = self.pass("comm", |_| {
             let report = comm::analyze(&hir);
             if !report.is_mappable() {
                 let mut diags = DiagnosticBag::new();
@@ -230,52 +236,41 @@ impl<'obs> Session<'obs> {
                 return Err(diags);
             }
             Ok(report)
-        });
-        let comm_report = comm_report.map_err(|d| self.classify("comm", d))?;
+        })?;
 
-        self.checkpoint("lower")?;
-        let mut ir = self
-            .run_pass("lower", |opts| lower(&hir, &opts.lower))
-            .map_err(|d| self.classify("lower", d))?;
+        let mut ir = self.pass("lower", |opts| lower(&hir, &opts.lower))?;
 
-        self.checkpoint("rewrite")?;
         let rewrite_fuel = self.ctrl.rewrite_fuel;
-        let rewrite_stats = self
-            .run_pass("rewrite", |opts| {
-                let stats = if opts.lower.optimize {
-                    rewrite_module(
-                        &mut ir,
-                        &RewriteOptions {
-                            reassociate: opts.lower.reassociate,
-                            fuel: rewrite_fuel,
-                            latency: opts.machine.latency_model(),
-                        },
-                    )
-                } else {
-                    RewriteStats::default()
-                };
-                Ok(RewriteArtifact(stats))
-            })
-            .map_err(|d| self.classify("rewrite", d))?;
-
-        self.checkpoint("decompose")?;
-        let dec = self
-            .run_pass("decompose", |_| Ok(decompose::decompose(&mut ir)))
-            .map_err(|d| self.classify("decompose", d))?;
-
-        self.checkpoint("cell-codegen")?;
-        let pipeline = self.ctrl.pipeline;
-        let cell_code = self
-            .run_pass("cell-codegen", |opts| {
-                cell_codegen(
-                    &ir,
-                    &opts.machine,
-                    &CellCodegenOptions {
-                        software_pipeline: pipeline,
+        let rewrite_stats = self.pass("rewrite", |opts| {
+            let stats = if opts.lower.optimize {
+                rewrite_module(
+                    &mut ir,
+                    &RewriteOptions {
+                        reassociate: opts.lower.reassociate,
+                        fuel: rewrite_fuel,
+                        latency: opts.machine.latency_model(),
                     },
                 )
-            })
-            .map_err(|d| self.classify("cell-codegen", d))?;
+            } else {
+                RewriteStats::default()
+            };
+            Ok::<_, DiagnosticBag>(RewriteArtifact(stats))
+        })?;
+
+        let dec = self.pass("decompose", |_| {
+            Ok::<_, DiagnosticBag>(decompose::decompose(&mut ir))
+        })?;
+
+        let pipeline = self.ctrl.pipeline;
+        let cell_code = self.pass("cell-codegen", |opts| {
+            cell_codegen(
+                &ir,
+                &opts.machine,
+                &CellCodegenOptions {
+                    software_pipeline: pipeline,
+                },
+            )
+        })?;
 
         // The IR-size/memory ceiling: the dynamic cell-program length
         // bounds both the simulation cost and the timeline-enumeration
@@ -293,54 +288,26 @@ impl<'obs> Session<'obs> {
             }
         }
 
-        self.checkpoint("skew")?;
-        let ctrl = self.ctrl.clone();
-        // Timing-arithmetic overflow is reported as its own failure
-        // class, not folded into ordinary diagnostics: the program may
-        // be well-formed, but its schedule cannot be represented.
-        let mut overflow: Option<warp_skew::TimingOverflow> = None;
-        let skew = self
-            .run_pass("skew", |opts| {
-                analyze(
-                    &cell_code,
-                    &ir.loops,
-                    &SkewOptions {
-                        method: opts.skew_method,
-                        queue_capacity: u64::from(opts.machine.queue_capacity),
-                        n_cells: ir.n_cells,
-                        cancel: ctrl.cancel.clone(),
-                        max_events: ctrl.skew_max_events,
-                    },
-                )
-                .map_err(|e| match e {
-                    warp_skew::SkewError::Diagnostics(d) => d,
-                    warp_skew::SkewError::Overflow(o) => {
-                        let mut diags = DiagnosticBag::new();
-                        diags.push(Diagnostic::error_global(o.to_string()));
-                        overflow = Some(o);
-                        diags
-                    }
-                })
-            })
-            .map_err(|d| match overflow.take() {
-                Some(o) => CompileFailure::TimingOverflow {
-                    pass: "skew",
-                    detail: o.to_string(),
+        let (cancel, max_events) = (self.ctrl.cancel.clone(), self.ctrl.skew_max_events);
+        let skew = self.pass("skew", |opts| {
+            analyze(
+                &cell_code,
+                &ir.loops,
+                &SkewOptions {
+                    method: SkewMethod::Exact,
+                    queue_capacity: u64::from(opts.machine.queue_capacity),
+                    n_cells: ir.n_cells,
+                    cancel,
+                    max_events,
                 },
-                None => self.classify("skew", d),
-            })?;
+            )
+        })?;
 
-        self.checkpoint("iu-codegen")?;
-        let iu = self
-            .run_pass("iu-codegen", |opts| {
-                warp_iu::iu_codegen(&ir, &dec, &cell_code, &opts.iu)
-            })
-            .map_err(|d| self.classify("iu-codegen", d))?;
+        let iu = self.pass("iu-codegen", |opts| {
+            warp_iu::iu_codegen(&ir, &dec, &cell_code, &opts.iu)
+        })?;
 
-        self.checkpoint("host-codegen")?;
-        let host = self
-            .run_pass("host-codegen", |_| host_codegen(&ir, &cell_code, skew.flow))
-            .map_err(|d| self.classify("host-codegen", d))?;
+        let host = self.pass("host-codegen", |_| host_codegen(&ir, &cell_code, skew.flow))?;
 
         let metrics = Metrics {
             w2_lines: source.lines().filter(|l| !l.trim().is_empty()).count() as u32,

@@ -30,7 +30,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use warp_common::{splitmix64, CancelReason, CancelToken, Clock};
+use warp_common::{panic_message, splitmix64, CancelReason, CancelToken, Clock};
 
 pub mod pool;
 
@@ -409,16 +409,6 @@ pub(crate) fn run_job<T, E>(
         name: q.name.clone(),
         outcome,
         wall_ticks: clock.now_ticks().saturating_sub(started),
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
     }
 }
 
