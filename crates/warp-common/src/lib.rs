@@ -47,7 +47,7 @@ pub use ctrl::{
 pub use diag::{Diagnostic, DiagnosticBag, Severity};
 pub use hash::{fnv1a64, ContentKey, StableHasher};
 pub use idvec::IdVec;
-pub use observe::{Artifact, CollectDumps, NullObserver, PassDump, PassObserver, PassTiming};
+pub use observe::{Artifact, CollectDumps, CollectTimings, PassDump, PassObserver, PassTiming};
 pub use queue::RingQueue;
 pub use rat::Rat;
 pub use span::Span;

@@ -13,8 +13,10 @@
 //! * [`PassObserver`] — enter/exit callbacks a driver invokes around
 //!   each pass; [`CollectDumps`] is the standard implementation behind
 //!   `w2c --dump-after`.
-//! * [`PassTiming`] and [`timing_table`] — the per-pass wall-clock
-//!   breakdown behind `w2c --time-passes` and `Metrics::per_pass`.
+//! * [`CollectTimings`], [`PassTiming`] and [`timing_table`] — the
+//!   per-pass wall-clock breakdown behind `w2c --time-passes`. Timings
+//!   are an observation of a compile; the compiled artifact carries
+//!   none.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -56,12 +58,6 @@ pub trait PassObserver {
     fn exit_pass(&mut self, _name: &'static str, _elapsed: Duration, _artifact: &dyn Artifact) {}
 }
 
-/// An observer that ignores every event.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullObserver;
-
-impl PassObserver for NullObserver {}
-
 /// An observer that captures the artifact dumps of selected passes
 /// (all passes when constructed with [`CollectDumps::all`]).
 #[derive(Debug, Default)]
@@ -102,11 +98,6 @@ impl CollectDumps {
     pub fn dumps(&self) -> &[PassDump] {
         &self.dumps
     }
-
-    /// Consumes the observer and returns the captured dumps.
-    pub fn into_dumps(self) -> Vec<PassDump> {
-        self.dumps
-    }
 }
 
 impl PassObserver for CollectDumps {
@@ -122,6 +113,30 @@ impl PassObserver for CollectDumps {
                 text: artifact.dump(),
             });
         }
+    }
+}
+
+/// An observer that records how long each pass took, in execution
+/// order.
+#[derive(Debug, Default)]
+pub struct CollectTimings {
+    /// One entry per pass that succeeded.
+    pub timings: Vec<PassTiming>,
+}
+
+impl CollectTimings {
+    /// The summed time spent inside passes.
+    pub fn total(&self) -> Duration {
+        self.timings.iter().map(|t| t.duration).sum()
+    }
+}
+
+impl PassObserver for CollectTimings {
+    fn exit_pass(&mut self, name: &'static str, elapsed: Duration, _artifact: &dyn Artifact) {
+        self.timings.push(PassTiming {
+            name,
+            duration: elapsed,
+        });
     }
 }
 
@@ -205,6 +220,16 @@ mod tests {
         obs.exit_pass("b", Duration::ZERO, &Fake("2"));
         let passes: Vec<_> = obs.dumps().iter().map(|d| d.pass).collect();
         assert_eq!(passes, ["a", "b"]);
+    }
+
+    #[test]
+    fn collect_timings_records_each_pass_and_sums() {
+        let mut obs = CollectTimings::default();
+        obs.exit_pass("a", Duration::from_micros(5), &Fake("1"));
+        obs.exit_pass("b", Duration::from_micros(7), &Fake("2"));
+        let names: Vec<_> = obs.timings.iter().map(|t| t.name).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert_eq!(obs.total(), Duration::from_micros(12));
     }
 
     #[test]

@@ -294,24 +294,6 @@ impl Decode for String {
     }
 }
 
-impl Encode for std::time::Duration {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.as_secs().encode(out);
-        self.subsec_nanos().encode(out);
-    }
-}
-
-impl Decode for std::time::Duration {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let secs = u64::decode(r)?;
-        let nanos = u32::decode(r)?;
-        if nanos >= 1_000_000_000 {
-            return Err(WireError::Invalid { what: "duration" });
-        }
-        Ok(std::time::Duration::new(secs, nanos))
-    }
-}
-
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
@@ -471,22 +453,6 @@ impl<I: crate::idvec::Id, T: Decode> Decode for crate::IdVec<I, T> {
             out.push(T::decode(r)?);
         }
         Ok(out)
-    }
-}
-
-impl Encode for crate::ContentKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.lo.encode(out);
-        self.hi.encode(out);
-    }
-}
-
-impl Decode for crate::ContentKey {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(crate::ContentKey {
-            lo: u64::decode(r)?,
-            hi: u64::decode(r)?,
-        })
     }
 }
 
@@ -697,7 +663,6 @@ mod tests {
         round_trip(f32::NAN.to_bits()); // NaN itself is not PartialEq
         round_trip("hello warp".to_owned());
         round_trip(String::new());
-        round_trip(std::time::Duration::new(3, 141_592_653));
     }
 
     #[test]
@@ -795,7 +760,6 @@ mod tests {
             crate::Span::new(3, 4),
         ));
         round_trip(crate::Diagnostic::error_global("boom"));
-        round_trip(crate::ContentKey { lo: 1, hi: 2 });
     }
 
     #[test]

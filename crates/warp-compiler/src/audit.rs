@@ -25,7 +25,7 @@
 //! timing structure is size-independent because W2 control flow is
 //! static and conditionals are predicated).
 
-use crate::{corpus, CompileOptions, CompiledModule};
+use crate::{corpus, CompileOptions, CompiledModule, SessionCtrl};
 use std::fmt;
 use w2_lang::hir::VarKind;
 use warp_common::DiagnosticBag;
@@ -531,15 +531,17 @@ pub fn audit(module: &CompiledModule, opts: &AuditOptions) -> AuditReport {
 }
 
 /// Compiles and audits the scaled audit corpus
-/// ([`corpus::audit_corpus`]). Compilation failures are reported per
-/// program; one broken program never aborts the batch.
+/// ([`corpus::audit_corpus`]) under the caller's options and pipeline
+/// policy. Compilation failures are reported per program; one broken
+/// program never aborts the batch.
 pub fn audit_corpus(
     opts: &AuditOptions,
     compile_opts: &CompileOptions,
+    ctrl: &SessionCtrl,
 ) -> Vec<(&'static str, Result<AuditReport, DiagnosticBag>)> {
     let programs = corpus::audit_corpus();
     let sources: Vec<&str> = programs.iter().map(|(_, src)| src.as_str()).collect();
-    let compiled = crate::compile_many(&sources, compile_opts);
+    let compiled = crate::service::compile_batch(&sources, compile_opts, ctrl).into_results();
     programs
         .iter()
         .zip(compiled)

@@ -50,13 +50,14 @@
 //! compared pairwise, so a mismatch localizes to one executor.
 
 use std::process::ExitCode;
-use warp_common::{observe, CollectDumps};
+use std::time::Duration;
+use warp_common::{observe, Artifact, CollectDumps, CollectTimings, PassObserver};
 use warp_compiler::{
     audit, corpus, differential, fuzz, passes, service, CompileOptions, CompiledModule,
     ExecBackend, ServiceConfig, Session, SessionCtrl,
 };
 use warp_ir::LowerOptions;
-use warp_service::{ExecutorConfig, JobOutcome};
+use warp_service::JobOutcome;
 use warp_sim::{FaultPlan, SimOptions};
 
 /// `--emit` kinds: the Table 7-1 metrics and listings, plus one kind
@@ -346,12 +347,25 @@ fn print_summary(module: &CompiledModule, source_name: &str) {
     println!("  IU table words: {}", module.iu.table.len());
     println!("  min skew      : {}", module.skew.min_skew);
     println!("  queue bound   : {:?}", module.skew.queue_occupancy);
-    println!("  compile time  : {:.1?}", module.metrics.compile_time);
 }
 
-fn print_time_passes(module: &CompiledModule) {
-    println!("\nper-pass timing for `{}`:", module.name);
-    let table = observe::timing_table(&module.metrics.per_pass, module.metrics.compile_time);
+/// The single-module driver's observer: artifact dumps for
+/// `--dump-after` / `--emit`, pass times for `--time-passes`.
+struct Observers {
+    dumps: CollectDumps,
+    timings: CollectTimings,
+}
+
+impl PassObserver for Observers {
+    fn exit_pass(&mut self, name: &'static str, elapsed: Duration, artifact: &dyn Artifact) {
+        self.dumps.exit_pass(name, elapsed, artifact);
+        self.timings.exit_pass(name, elapsed, artifact);
+    }
+}
+
+fn print_time_passes(module_name: &str, timings: &CollectTimings) {
+    println!("\nper-pass timing for `{module_name}`:");
+    let table = observe::timing_table(&timings.timings, timings.total());
     for line in table.lines() {
         println!("  {line}");
     }
@@ -371,34 +385,28 @@ fn corpus_all(args: &Args) -> ExitCode {
     let batch = service::compile_batch_named(
         named,
         &args.opts,
-        &ServiceConfig {
-            exec: ExecutorConfig {
-                queue_capacity: 0,
-                ..ExecutorConfig::default()
-            },
-            ..ServiceConfig::default()
-        },
+        &args.ctrl,
+        // Inert: no deadline, retry or breaker, and five jobs fit the
+        // default queue.
+        &ServiceConfig::default(),
     );
     println!(
-        "{:<12} {:>9} {:>11} {:>9} {:>6} {:>6} {:>13}",
-        "name", "W2 lines", "cell ucode", "IU ucode", "skew", "cells", "compile time"
+        "{:<12} {:>9} {:>11} {:>9} {:>6} {:>6}",
+        "name", "W2 lines", "cell ucode", "IU ucode", "skew", "cells"
     );
     let mut failed = 0usize;
-    let mut modules: Vec<&CompiledModule> = Vec::new();
     for job in &batch.jobs {
         match &job.outcome {
             JobOutcome::Success(s) => {
                 let m = &s.value;
-                modules.push(m);
                 println!(
-                    "{:<12} {:>9} {:>11} {:>9} {:>6} {:>6} {:>13.1?}",
+                    "{:<12} {:>9} {:>11} {:>9} {:>6} {:>6}",
                     job.name,
                     m.metrics.w2_lines,
                     m.metrics.cell_ucode,
                     m.metrics.iu_ucode,
                     m.skew.min_skew,
                     m.n_cells,
-                    m.metrics.compile_time,
                 );
             }
             JobOutcome::Failed {
@@ -416,8 +424,15 @@ fn corpus_all(args: &Args) -> ExitCode {
     }
     print!("{}", batch.summary());
     if args.time_passes {
-        for module in modules {
-            print_time_passes(module);
+        // Pass times are observed, not stored: compile each program once
+        // more on this thread under the timing observer.
+        for (name, src) in corpus::TABLE_7_1 {
+            let mut timings = CollectTimings::default();
+            let session = Session::with_observer(args.opts.clone(), &mut timings)
+                .with_ctrl(args.ctrl.clone());
+            if session.compile(src).is_ok() {
+                print_time_passes(name, &timings);
+            }
         }
     }
     if failed > 0 {
@@ -431,7 +446,7 @@ fn corpus_all(args: &Args) -> ExitCode {
 /// summarize per program. Any failed check — or failed compile — fails
 /// the run, but never stops the rest of the batch.
 fn corpus_audit(args: &Args) -> ExitCode {
-    let results = audit::audit_corpus(&audit::AuditOptions::default(), &args.opts);
+    let results = audit::audit_corpus(&audit::AuditOptions::default(), &args.opts, &args.ctrl);
     let total = results.len();
     let mut failed = 0usize;
     for (name, result) in results {
@@ -572,9 +587,12 @@ fn main() -> ExitCode {
         return differential_check(&args, &source, &source_name);
     }
 
-    let mut dumps = CollectDumps::for_passes(wanted_dumps(&args));
+    let mut observers = Observers {
+        dumps: CollectDumps::for_passes(wanted_dumps(&args)),
+        timings: CollectTimings::default(),
+    };
     let session =
-        Session::with_observer(args.opts.clone(), &mut dumps).with_ctrl(args.ctrl.clone());
+        Session::with_observer(args.opts.clone(), &mut observers).with_ctrl(args.ctrl.clone());
     let module = match session.compile(&source) {
         Ok(m) => m,
         Err(diags) => {
@@ -593,10 +611,10 @@ fn main() -> ExitCode {
 
     print_summary(&module, &source_name);
     if args.time_passes {
-        print_time_passes(&module);
+        print_time_passes(&module.name, &observers.timings);
     }
 
-    for dump in dumps.dumps() {
+    for dump in observers.dumps.dumps() {
         println!("\n=== dump after {} ({}) ===", dump.pass, dump.kind);
         print!("{}", dump.text);
     }

@@ -6,14 +6,15 @@
 //! always-on daemon therefore fronts its worker pool with this cache.
 //!
 //! * **Keying.** [`cache_key`] hashes the source bytes together with
-//!   every configuration field that affects compiler output: the full
-//!   [`CompileOptions`] (via its stable-in-process `Debug` rendering)
-//!   and the output-affecting [`SessionCtrl`] fields
-//!   (`skew_max_events`, `max_cell_cycles`, `max_source_bytes`,
-//!   `pipeline`, `rewrite_fuel`). The cancellation token is deliberately
+//!   the wire encoding of every configuration field that affects
+//!   compiler output: the full [`CompileOptions`] and the
+//!   output-affecting [`SessionCtrl`] fields (`skew_max_events`,
+//!   `max_cell_cycles`, `max_source_bytes`, `pipeline`,
+//!   `rewrite_fuel`, `backend`). The cancellation token is deliberately
 //!   excluded — it never changes what a *completed* compile produces.
 //!   Keys are 128-bit [`ContentKey`]s from `warp-common`'s stable
-//!   FNV-1a, so they do not depend on `RandomState` seeding.
+//!   FNV-1a, so they do not depend on `RandomState` seeding and are
+//!   the same in every process.
 //! * **Single-flight.** N concurrent requests for one key compile once:
 //!   the first becomes the leader, the rest block on a condvar and
 //!   receive the leader's result. The in-flight marker is cleared by a
@@ -36,9 +37,10 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use warp_common::{Clock, ContentKey, StableHasher};
+use warp_common::wire::{to_bytes, Encode};
+use warp_common::{Clock, ContentKey};
 
-use crate::{CompileFailure, CompileOptions, CompiledModule, SessionCtrl};
+use crate::{CompileFailure, CompileOptions, CompiledModule, ExecBackend, SessionCtrl};
 
 /// Knobs of the [`CompileCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,42 +104,31 @@ impl CacheStats {
     }
 }
 
+warp_common::wire_struct!(CompileOptions { machine, iu, lower });
+
+warp_common::wire_enum!(ExecBackend {
+    0 => Sim,
+    1 => Native,
+});
+
 /// The content-addressed key for one compile request: source bytes
-/// plus every option field that affects the output. Two requests with
-/// the same key are guaranteed (in-process) to produce the same
-/// module or the same deterministic failure.
+/// plus the wire encoding of every option field that affects the
+/// output. Two requests with the same key produce the same module or
+/// the same deterministic failure, in this process or any other.
+///
+/// The backend does not change the compiled artifact, but it is part
+/// of the request identity: cached entries carry serving metadata (and
+/// future backends may specialize), so sim and native requests must
+/// not alias.
 pub fn cache_key(source: &str, opts: &CompileOptions, ctrl: &SessionCtrl) -> ContentKey {
-    let mut h = StableHasher::new();
-    let mut h2 = StableHasher::with_seed(0x7761_7270_6363_6368); // "warpccch"
-    for h in [&mut h, &mut h2] {
-        h.write_str(source);
-        // `Debug` of CompileOptions covers machine/iu/lower
-        // exhaustively and keeps working when fields are added.
-        h.write_str(&format!("{opts:?}"));
-        h.write_u64(ctrl.skew_max_events);
-        h.write_u64(ctrl.max_cell_cycles);
-        h.write_u64(ctrl.max_source_bytes);
-        h.write_u64(u64::from(ctrl.pipeline));
-        match ctrl.rewrite_fuel {
-            None => h.write_u64(u64::MAX),
-            Some(fuel) => {
-                h.write_u64(1);
-                h.write_u64(fuel);
-            }
-        }
-        // The backend does not change the compiled artifact, but it is
-        // part of the request identity: cached entries carry serving
-        // metadata (and future backends may specialize), so sim and
-        // native requests must not alias.
-        h.write_u64(match ctrl.backend {
-            crate::ExecBackend::Sim => 0,
-            crate::ExecBackend::Native => 1,
-        });
-    }
-    ContentKey {
-        lo: h.finish(),
-        hi: h2.finish(),
-    }
+    let mut request = to_bytes(opts);
+    ctrl.skew_max_events.encode(&mut request);
+    ctrl.max_cell_cycles.encode(&mut request);
+    ctrl.max_source_bytes.encode(&mut request);
+    ctrl.pipeline.encode(&mut request);
+    ctrl.rewrite_fuel.encode(&mut request);
+    ctrl.backend.encode(&mut request);
+    ContentKey::of_parts([source.as_bytes(), request.as_slice()])
 }
 
 /// Rough resident size of a module: the µcode stores dominate, plus a
@@ -489,28 +480,60 @@ mod tests {
         let k1 = cache_key("module a", &opts, &ctrl);
         assert_eq!(k1, cache_key("module a", &opts, &ctrl));
         assert_ne!(k1, cache_key("module b", &opts, &ctrl));
-        let ctrl2 = SessionCtrl {
-            pipeline: false,
-            ..SessionCtrl::default()
-        };
-        assert_ne!(k1, cache_key("module a", &opts, &ctrl2));
-        let ctrl3 = SessionCtrl {
-            rewrite_fuel: Some(3),
-            ..SessionCtrl::default()
-        };
-        assert_ne!(k1, cache_key("module a", &opts, &ctrl3));
-        // Requests for different execution backends must not alias.
-        let ctrl_native = SessionCtrl {
-            backend: crate::ExecBackend::Native,
-            ..SessionCtrl::default()
-        };
-        assert_ne!(k1, cache_key("module a", &opts, &ctrl_native));
         // The cancel token does NOT key the cache.
-        let ctrl4 = SessionCtrl {
+        let cancelled = SessionCtrl {
             cancel: warp_common::CancelToken::new(Arc::new(ManualClock::new(9))),
             ..SessionCtrl::default()
         };
-        assert_eq!(k1, cache_key("module a", &opts, &ctrl4));
+        assert_eq!(k1, cache_key("module a", &opts, &cancelled));
+    }
+
+    #[test]
+    fn every_option_field_keys_the_cache() {
+        let option_edits: [fn(&mut CompileOptions); 16] = [
+            |o| o.machine.fp_latency += 1,
+            |o| o.machine.div_latency += 1,
+            |o| o.machine.mem_latency += 1,
+            |o| o.machine.io_latency += 1,
+            |o| o.machine.mem_ports += 1,
+            |o| o.machine.registers += 1,
+            |o| o.machine.queue_capacity += 1,
+            |o| o.machine.memory_words += 1,
+            |o| o.iu.registers += 1,
+            |o| o.iu.table_words += 1,
+            |o| o.iu.share_registers ^= true,
+            |o| o.iu.strength_reduction ^= true,
+            |o| o.lower.optimize ^= true,
+            |o| o.lower.memory_words += 1,
+            |o| o.lower.unroll += 1,
+            |o| o.lower.reassociate ^= true,
+        ];
+        let ctrl_edits: [fn(&mut SessionCtrl); 6] = [
+            |c| c.skew_max_events += 1,
+            |c| c.max_cell_cycles += 1,
+            |c| c.max_source_bytes += 1,
+            |c| c.pipeline ^= true,
+            |c| c.rewrite_fuel = Some(3),
+            // Requests for different execution backends must not alias.
+            |c| c.backend = ExecBackend::Native,
+        ];
+        let mut keys = std::collections::BTreeSet::new();
+        keys.insert(cache_key(
+            "module a",
+            &CompileOptions::default(),
+            &SessionCtrl::default(),
+        ));
+        for edit in option_edits {
+            let mut opts = CompileOptions::default();
+            edit(&mut opts);
+            keys.insert(cache_key("module a", &opts, &SessionCtrl::default()));
+        }
+        for edit in ctrl_edits {
+            let mut ctrl = SessionCtrl::default();
+            edit(&mut ctrl);
+            keys.insert(cache_key("module a", &CompileOptions::default(), &ctrl));
+        }
+        assert_eq!(keys.len(), 1 + 16 + 6, "a one-field change aliased");
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //! the paper's flagship example from §2.2 ("each cell computes some
 //! columns of the result") using the same count-conserving idiom as
 //! Figure 4-1.
+//!
+//! The five paper programs are the files under `corpus/`; the constants
+//! here embed them, so the text exists once.
 
 /// The five Table 7-1 benchmark programs by name, at paper sizes (the
 /// table the `w2c --corpus` flag resolves against).
@@ -54,49 +57,7 @@ pub fn audit_corpus() -> Vec<(&'static str, String)> {
 
 /// Figure 4-1 of the paper: polynomial evaluation with Horner's rule,
 /// one coefficient per cell, 10 coefficients, 100 points, 10 cells.
-pub const POLYNOMIAL: &str = r#"
-/*          Polynomial evaluation                 */
-/* A polynomial with 10 coefficients is           */
-/* evaluated for 100 data points on 10 cells      */
-module polynomial (z in, c in, results out)
-float z[100], c[10];
-float results[100];
-
-cellprogram (cid : 0 : 9)
-begin
-  function poly
-  begin
-    float coeff,   /* local copy of c[cid] */
-          temp,
-          xin, yin, ans;   /* temporaries */
-    int i;
-
-    /* Every cell saves the first coefficient that reaches it,
-       consumes the data and passes the remaining coefficients.
-       Every cell generates an additional item at the end to
-       conserve the number of receives and sends. */
-    receive (L, X, coeff, c[0]);
-    for i := 1 to 9 do begin
-      receive (L, X, temp, c[i]);
-      send (R, X, temp);
-    end;
-    send (R, X, 0.0);
-
-    /* Implementing Horner's rule, each cell multiplies the
-       accumulated result yin with incoming data xin and adds
-       the next coefficient. */
-    for i := 0 to 99 do begin
-      receive (L, X, xin, z[i]);
-      receive (L, Y, yin, 0.0);
-      send (R, X, xin);
-      ans := coeff + yin*xin;
-      send (R, Y, ans, results[i]);
-    end;
-  end
-
-  call poly;
-end
-"#;
+pub const POLYNOMIAL: &str = include_str!("../../../corpus/polynomial.w2");
 
 /// Generates the polynomial program for `n_cells` coefficients and
 /// `points` data points.
@@ -137,50 +98,7 @@ end
 
 /// Table 7-1 "1d-Conv": kernel size 9 over a 128-sample signal, one
 /// kernel element per cell (9 cells).
-pub const ONED_CONV: &str = r#"
-/* Simple 1-dimensional convolution for kernel size 9,       */
-/* one kernel element per cell; y[j] = sum w[k] * x[j+8-k].  */
-module conv1d (w in, x in, y out)
-float w[9];
-float x[128];
-float y[120];
-
-cellprogram (cid : 0 : 8)
-begin
-  function conv
-  begin
-    float coeff, temp, xin, yin, xprev;
-    int i;
-
-    /* Distribute the kernel: keep the first element, pass the rest. */
-    receive (L, X, coeff, w[0]);
-    for i := 1 to 8 do begin
-      receive (L, X, temp, w[i]);
-      send (R, X, temp);
-    end;
-    send (R, X, 0.0);
-
-    /* Each cell delays x by one element, so cell k multiplies
-       x[j-k]; the partial sums accumulate on the Y channel. */
-    xprev := 0.0;
-    for i := 0 to 7 do begin
-      receive (L, X, xin, x[i]);
-      receive (L, Y, yin, 0.0);
-      send (R, X, xprev);
-      send (R, Y, yin + coeff * xin);
-      xprev := xin;
-    end;
-    for i := 8 to 127 do begin
-      receive (L, X, xin, x[i]);
-      receive (L, Y, yin, 0.0);
-      send (R, X, xprev);
-      send (R, Y, yin + coeff * xin, y[i - 8]);
-      xprev := xin;
-    end;
-  end
-  call conv;
-end
-"#;
+pub const ONED_CONV: &str = include_str!("../../../corpus/conv1d.w2");
 
 /// Generates the 1-D convolution for a kernel of `taps` cells over `n`
 /// samples.
@@ -234,29 +152,7 @@ end
 
 /// Table 7-1 "Binop": a binary operator (elementwise multiply) over two
 /// 512×512 images streamed on the X and Y channels.
-pub const BINOP: &str = r#"
-/* Binary operator on an image with 512x512 elements. */
-module binop (a in, b in, c out)
-float a[512, 512];
-float b[512, 512];
-float c[512, 512];
-
-cellprogram (cid : 0 : 0)
-begin
-  function binop
-  begin
-    float av, bv;
-    int i, j;
-    for i := 0 to 511 do
-      for j := 0 to 511 do begin
-        receive (L, X, av, a[i, j]);
-        receive (L, Y, bv, b[i, j]);
-        send (R, X, av * bv, c[i, j]);
-      end;
-  end
-  call binop;
-end
-"#;
+pub const BINOP: &str = include_str!("../../../corpus/binop.w2");
 
 /// Generates a `rows`×`cols` binop program.
 pub fn binop_source(rows: u32, cols: u32) -> String {
@@ -291,39 +187,7 @@ end
 /// four classes (dark, red-, green-, blue-dominant). The three color
 /// planes stream interleaved on X; classification is a predicated
 /// decision tree over the color values.
-pub const COLORSEG: &str = r#"
-/* Color separation in a 512x512 image based on color values. */
-module colorseg (img in, seg out)
-float img[512, 1536];
-float seg[512, 512];
-
-cellprogram (cid : 0 : 0)
-begin
-  function colorseg
-  begin
-    float r, g, b, s;
-    int i, j;
-    for i := 0 to 511 do
-      for j := 0 to 511 do begin
-        receive (L, X, r, img[i, 3*j]);
-        receive (L, X, g, img[i, 3*j + 1]);
-        receive (L, X, b, img[i, 3*j + 2]);
-        if r >= g and r >= b then
-          s := 1.0;
-        else begin
-          if g >= b then
-            s := 2.0;
-          else
-            s := 3.0;
-        end
-        if r + g + b < 96.0 then
-          s := 0.0;
-        send (R, X, s, seg[i, j]);
-      end;
-  end
-  call colorseg;
-end
-"#;
+pub const COLORSEG: &str = include_str!("../../../corpus/colorseg.w2");
 
 /// Generates a `rows`×`cols` RGB color-separation program (the image
 /// parameter holds `r,g,b` interleaved per pixel, so it is
@@ -405,39 +269,7 @@ end
 
 /// Table 7-1 "Mandelbrot": 32×32 image, 4 iterations, one cell. The
 /// escape test is predicated, so the count accumulates through selects.
-pub const MANDELBROT: &str = r#"
-/* Mandelbrot for a 32x32 image and 4 iterations on one cell. */
-module mandelbrot (cre in, cim in, count out)
-float cre[32, 32];
-float cim[32, 32];
-float count[32, 32];
-
-cellprogram (cid : 0 : 0)
-begin
-  function mandel
-  begin
-    float zr, zi, cr, ci, cnt, zr2, mag;
-    int i, j, k;
-    for i := 0 to 31 do
-      for j := 0 to 31 do begin
-        receive (L, X, cr, cre[i, j]);
-        receive (L, Y, ci, cim[i, j]);
-        zr := 0.0;
-        zi := 0.0;
-        cnt := 0.0;
-        for k := 0 to 3 do begin
-          zr2 := zr*zr - zi*zi + cr;
-          zi := 2.0*zr*zi + ci;
-          zr := zr2;
-          mag := zr*zr + zi*zi;
-          if mag < 4.0 then cnt := cnt + 1.0;
-        end;
-        send (R, X, cnt, count[i, j]);
-      end;
-  end
-  call mandel;
-end
-"#;
+pub const MANDELBROT: &str = include_str!("../../../corpus/mandelbrot.w2");
 
 /// Generates a `size`×`size`, `iters`-iteration Mandelbrot program.
 pub fn mandelbrot_source(size: u32, iters: u32) -> String {

@@ -17,11 +17,10 @@
 //! Each life serves a seeded Zipfian request mix and checks two
 //! invariants per response and one per restart:
 //!
-//! 1. **Never serve corruption.** Every served module's canonical
-//!    bytes (timings zeroed, see
-//!    [`canonical_artifact_bytes`](crate::store::canonical_artifact_bytes))
-//!    must equal those of a known-good fresh compile of the same
-//!    program, bitwise.
+//! 1. **Never serve corruption.** Every served module's
+//!    [`artifact_bytes`](crate::store::artifact_bytes) must equal
+//!    those of a known-good fresh compile of the same program,
+//!    bitwise.
 //! 2. **Always serve.** Every request must succeed — disk faults may
 //!    cost a recompile, never an error.
 //! 3. **Recovery is total.** At each restart, every artifact file in
@@ -43,7 +42,7 @@ use warp_common::{ManualClock, MemVfs, SplitMix64, Vfs};
 
 use crate::cache::{cache_key, CacheConfig, CompileCache};
 use crate::scenario::{program_universe, zipf, Verdict};
-use crate::store::{canonical_artifact_bytes, DiskStore, StoreConfig, TieredCache, TieredOutcome};
+use crate::store::{artifact_bytes, DiskStore, StoreConfig, TieredCache, TieredOutcome};
 use crate::{CompileFailure, CompileOptions, Session, SessionCtrl};
 
 /// Configuration of one crash/restart soak run.
@@ -79,26 +78,24 @@ pub const CRASH_FLOORS: &[&str] = &["crash-points-fired", "warm-hits"];
 
 const STORE_DIR: &str = "/crash-soak/store";
 
-/// The expected canonical bytes of every universe program, from
-/// fault-free compiles: the ground truth every served module is
-/// bitwise-checked against.
-struct GroundTruth {
-    programs: Vec<(&'static str, String, warp_common::ContentKey, Vec<u8>)>,
-}
-
-fn ground_truth(opts: &CompileOptions, ctrl: &SessionCtrl) -> GroundTruth {
-    let programs = program_universe()
+/// Name, source, key and expected artifact bytes of every universe
+/// program, from fault-free compiles: the ground truth every served
+/// module is bitwise-checked against.
+fn ground_truth(
+    opts: &CompileOptions,
+    ctrl: &SessionCtrl,
+) -> Vec<(&'static str, String, warp_common::ContentKey, Vec<u8>)> {
+    program_universe()
         .into_iter()
         .map(|(name, source)| {
             let module = Session::new(opts.clone())
                 .try_compile(&source)
                 .expect("universe program compiles");
             let key = cache_key(&source, opts, ctrl);
-            let canon = canonical_artifact_bytes(&module);
+            let canon = artifact_bytes(&module);
             (name, source, key, canon)
         })
-        .collect();
-    GroundTruth { programs }
+        .collect()
 }
 
 fn fresh_compile(
@@ -172,13 +169,13 @@ pub fn run_crash_soak(config: &CrashSoakConfig) -> Verdict {
 
         let (mut life_served, mut memory, mut from_disk, mut compiled) = (0u64, 0u64, 0u64, 0u64);
         for r in 0..config.requests_per_life {
-            let pick = zipf(&mut rng, truth.programs.len());
-            let (name, source, key, canon) = &truth.programs[pick];
+            let pick = zipf(&mut rng, truth.len());
+            let (name, source, key, canon) = &truth[pick];
             let (result, outcome) = tiered.get_or_compile(*key, || fresh_compile(&opts, source));
             match result {
                 Ok(module) => {
                     life_served += 1;
-                    if canonical_artifact_bytes(&module) != *canon {
+                    if artifact_bytes(&module) != *canon {
                         corrupt_served += 1;
                         violations.push(format!(
                             "life {life} request {r}: served corrupt artifact for `{name}` \
@@ -252,11 +249,11 @@ pub fn run_crash_soak(config: &CrashSoakConfig) -> Verdict {
         Some(store),
     );
     let mut warm_hits = 0u64;
-    for (name, source, key, canon) in &truth.programs {
+    for (name, source, key, canon) in &truth {
         let (result, outcome) = tiered.get_or_compile(*key, || fresh_compile(&opts, source));
         match result {
             Ok(module) => {
-                if canonical_artifact_bytes(&module) != *canon {
+                if artifact_bytes(&module) != *canon {
                     corrupt_served += 1;
                     violations.push(format!(
                         "final restart: served corrupt artifact for `{name}`"
@@ -267,7 +264,7 @@ pub fn run_crash_soak(config: &CrashSoakConfig) -> Verdict {
         }
         warm_hits += u64::from(outcome == TieredOutcome::DiskHit);
     }
-    served += truth.programs.len() as u64;
+    served += truth.len() as u64;
     disk_hits += warm_hits;
 
     // Negative-TTL phase on a ManualClock: a deterministic failure is

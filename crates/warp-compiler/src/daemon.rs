@@ -43,6 +43,7 @@ use crate::service::{global_error, job_result, session_ctrl, ServiceConfig};
 use crate::store::{ClearReport, DiskStore, StoreConfig, StoreStats, TieredCache};
 use crate::{
     audit, CompileFailure, CompileOptions, CompiledModule, ExecBackend, NativeRunError, Session,
+    SessionCtrl,
 };
 
 /// Configuration of a [`CompileDaemon`]: the compile service's knobs
@@ -413,7 +414,7 @@ impl CompileDaemon {
                     }
                 }
             }
-            let ctrl = session_ctrl(&service, &ctx.cancel, backend);
+            let ctrl = session_ctrl(&SessionCtrl::default(), &service, &ctx.cancel, backend);
             let key = cache_key(&source, &opts, &ctrl);
             let (result, _provenance) = cache.get_or_compile(key, || {
                 Session::new(opts.clone())

@@ -10,16 +10,17 @@
 //! ```
 //!
 //! The driver is an explicit pass manager: a [`Session`] runs the
-//! nine named passes of [`passes::PIPELINE`] in order, timing each
-//! one ([`Metrics::per_pass`]) and reporting every intermediate
-//! artifact to an attached [`warp_common::PassObserver`] — that is
-//! what `w2c --time-passes` and `w2c --dump-after <pass>` are built
-//! on. [`compile`] is the plain entry point; [`compile_many`]
-//! batch-compiles independent modules on scoped threads with
-//! deterministic output ordering.
+//! nine named passes of [`passes::PIPELINE`] in order, reporting each
+//! one's elapsed time and output artifact to an attached
+//! [`warp_common::PassObserver`] — that is what `w2c --time-passes`
+//! and `w2c --dump-after <pass>` are built on. [`compile`] is the
+//! plain entry point; [`compile_many`] batch-compiles independent
+//! modules on a worker pool with deterministic output ordering.
 //!
 //! The result is a [`CompiledModule`] that can be executed on the
-//! cycle-level simulator with [`CompiledModule::run`].
+//! cycle-level simulator with [`CompiledModule::run`]. It is a pure
+//! function of the source text and the options: two compiles of one
+//! source encode to the same bytes ([`store::artifact_bytes`]).
 //!
 //! The [`corpus`] module carries the paper's five benchmark programs
 //! (Table 7-1) plus parameterized generators, and [`mod@reference`] holds
@@ -65,9 +66,8 @@ pub mod store;
 pub use service::{BatchReport, ServiceConfig};
 pub use session::{compile_many, Session};
 
-use std::time::Duration;
 use warp_cell::{CellCode, CellMachine};
-use warp_common::{CancelReason, CancelToken, DiagnosticBag, PassTiming};
+use warp_common::{CancelReason, CancelToken, DiagnosticBag};
 use warp_host::{HostError, HostMemory, HostProgram};
 use warp_ir::{comm, CellIr, LowerOptions};
 use warp_iu::{IuOptions, IuProgram};
@@ -272,8 +272,9 @@ impl From<DiagnosticBag> for CompileFailure {
     }
 }
 
-/// Size and timing metrics of one compilation — the columns of Table
-/// 7-1, plus the per-pass wall-clock breakdown.
+/// Size metrics of one compilation — the count columns of Table 7-1.
+/// Compile time is an observation of a compile, not part of its
+/// result: a [`warp_common::PassObserver`] receives it per pass.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Metrics {
     /// Non-blank source lines ("W2 Lines").
@@ -282,22 +283,9 @@ pub struct Metrics {
     pub cell_ucode: u32,
     /// Static IU micro-instructions ("IU µcode").
     pub iu_ucode: u64,
-    /// Wall-clock compile time ("Compile time").
-    pub compile_time: Duration,
-    /// Per-pass wall-clock breakdown, in pipeline order (one entry per
-    /// pass of [`passes::PIPELINE`]).
-    pub per_pass: Vec<PassTiming>,
     /// Per-pattern application counts from the `rewrite` pass, sorted
     /// by pattern name. Empty when optimization is disabled.
     pub rewrite_hits: Vec<(String, u64)>,
-}
-
-impl Metrics {
-    /// The summed per-pass time (≤ [`Metrics::compile_time`]; the
-    /// difference is driver overhead).
-    pub fn pass_time_total(&self) -> Duration {
-        self.per_pass.iter().map(|t| t.duration).sum()
-    }
 }
 
 /// A fully compiled module: programs for the cells, the IU, and the
@@ -590,10 +578,12 @@ mod tests {
 
     #[test]
     fn per_pass_timings_cover_the_pipeline() {
-        let m = compile(corpus::POLYNOMIAL, &CompileOptions::default()).expect("compiles");
-        let names: Vec<_> = m.metrics.per_pass.iter().map(|t| t.name).collect();
+        let mut timings = warp_common::CollectTimings::default();
+        Session::with_observer(CompileOptions::default(), &mut timings)
+            .compile(corpus::POLYNOMIAL)
+            .expect("compiles");
+        let names: Vec<_> = timings.timings.iter().map(|t| t.name).collect();
         assert_eq!(names, passes::pass_names().collect::<Vec<_>>());
-        assert!(m.metrics.pass_time_total() <= m.metrics.compile_time);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! [`Session`](crate::Session) runs exactly the passes listed in
 //! [`PIPELINE`], in order. Each pass is observable (timed, and its
 //! output artifact can be dumped with `w2c --dump-after <pass>`); the
-//! names here are the single source of truth for the CLI, the metrics
-//! in [`Metrics::per_pass`](crate::Metrics::per_pass), and the tests.
+//! names here are the single source of truth for the CLI, the events a
+//! [`PassObserver`](warp_common::PassObserver) receives, and the tests.
 
 /// Descriptor of one driver pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

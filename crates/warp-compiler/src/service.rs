@@ -78,9 +78,11 @@ pub struct ServiceConfig {
     pub supervise_interval_ms: u64,
 }
 
-/// The pipeline control block for one job: the job's cancellation
-/// token plus the service's budgets and the serving backend.
+/// The pipeline control block for one job: the caller's `template`
+/// (pipeline policy, rewrite fuel) with the job's cancellation token,
+/// the service's budgets and the serving backend laid over it.
 pub(crate) fn session_ctrl(
+    template: &SessionCtrl,
     config: &ServiceConfig,
     cancel: &CancelToken,
     backend: ExecBackend,
@@ -91,7 +93,7 @@ pub(crate) fn session_ctrl(
         max_cell_cycles: config.max_cell_cycles,
         max_source_bytes: config.max_source_bytes,
         backend,
-        ..SessionCtrl::default()
+        ..template.clone()
     }
 }
 
@@ -270,8 +272,13 @@ pub(crate) fn global_error(message: impl Into<String>) -> DiagnosticBag {
 
 /// Batch-compiles `sources` with everything inert (no deadlines, no
 /// retry, no breaker, unbounded queue) on the system clock — the engine
-/// behind [`crate::compile_many`].
-pub fn compile_batch<S: AsRef<str>>(sources: &[S], opts: &CompileOptions) -> BatchReport {
+/// behind [`crate::compile_many`]. `ctrl` is each job's pipeline policy
+/// (see [`compile_batch_named`]).
+pub fn compile_batch<S: AsRef<str>>(
+    sources: &[S],
+    opts: &CompileOptions,
+    ctrl: &SessionCtrl,
+) -> BatchReport {
     compile_batch_named(
         sources
             .iter()
@@ -279,6 +286,7 @@ pub fn compile_batch<S: AsRef<str>>(sources: &[S], opts: &CompileOptions) -> Bat
             .map(|(i, s)| (format!("input[{i}]"), s.as_ref().to_owned()))
             .collect(),
         opts,
+        ctrl,
         &ServiceConfig {
             exec: ExecutorConfig {
                 queue_capacity: 0,
@@ -296,9 +304,14 @@ pub fn compile_batch<S: AsRef<str>>(sources: &[S], opts: &CompileOptions) -> Bat
 /// resumed, waited for, and shut down. Reports come back in submission
 /// order; same-name jobs run one at a time in that order, and the
 /// breaker sees each result before the next one of its name starts.
+///
+/// Every job compiles under `ctrl` — the caller's pipeline policy,
+/// rewrite fuel and backend — with its own cancellation token and
+/// `config`'s three size budgets laid over it.
 pub fn compile_batch_named(
     named_sources: Vec<(String, String)>,
     opts: &CompileOptions,
+    ctrl: &SessionCtrl,
     config: &ServiceConfig,
 ) -> BatchReport {
     if named_sources.is_empty() {
@@ -319,9 +332,9 @@ pub fn compile_batch_named(
     let admitted: Vec<(String, Option<usize>)> = named_sources
         .into_iter()
         .map(|(name, source)| {
-            let (opts, config) = (opts.clone(), config.clone());
+            let (opts, template, config) = (opts.clone(), ctrl.clone(), config.clone());
             let admission = pool.submit(name.clone(), move |ctx| {
-                let ctrl = session_ctrl(&config, &ctx.cancel, ExecBackend::default());
+                let ctrl = session_ctrl(&template, &config, &ctx.cancel, template.backend);
                 job_result(
                     Session::new(opts.clone())
                         .with_ctrl(ctrl)

@@ -2,8 +2,9 @@
 //!
 //! [`Session`] owns the [`CompileOptions`] and drives the nine passes
 //! of [`PIPELINE`](crate::passes::PIPELINE) in order, checking the
-//! cancel token before each one, timing it, and reporting its output
-//! artifact to an attached [`PassObserver`](warp_common::PassObserver).
+//! cancel token before each one and reporting its elapsed time and
+//! output artifact to an attached
+//! [`PassObserver`](warp_common::PassObserver).
 //! The plain [`compile`](crate::compile) function is a thin wrapper
 //! over a session with no observer; [`compile_many`] batch-compiles
 //! several sources on a short-lived worker pool.
@@ -12,7 +13,7 @@ use crate::{CompileFailure, CompileOptions, CompiledModule, Metrics, SessionCtrl
 use std::time::Instant;
 use w2_lang::parse_and_check;
 use warp_cell::{codegen_with as cell_codegen, CellCodegenOptions};
-use warp_common::observe::{Artifact, PassObserver, PassTiming};
+use warp_common::observe::{Artifact, PassObserver};
 use warp_common::{Diagnostic, DiagnosticBag};
 use warp_host::host_codegen;
 use warp_ir::rewrite::{rewrite_module, RewriteOptions, RewriteStats};
@@ -74,7 +75,7 @@ impl From<SkewError> for PassError {
 /// let mut dumps = CollectDumps::for_passes(["lower"]);
 /// let session = Session::with_observer(CompileOptions::default(), &mut dumps);
 /// let module = session.compile(corpus::POLYNOMIAL)?;
-/// assert_eq!(module.metrics.per_pass.len(), 9);
+/// assert_eq!(module.name, "polynomial");
 /// assert_eq!(dumps.dumps().len(), 1);
 /// assert_eq!(dumps.dumps()[0].kind, "cell-ir");
 /// # Ok::<(), warp_common::DiagnosticBag>(())
@@ -83,7 +84,6 @@ pub struct Session<'obs> {
     opts: CompileOptions,
     ctrl: SessionCtrl,
     observer: Option<&'obs mut dyn PassObserver>,
-    timings: Vec<PassTiming>,
 }
 
 impl Session<'static> {
@@ -93,7 +93,6 @@ impl Session<'static> {
             opts,
             ctrl: SessionCtrl::default(),
             observer: None,
-            timings: Vec::new(),
         }
     }
 }
@@ -108,7 +107,6 @@ impl<'obs> Session<'obs> {
             opts,
             ctrl: SessionCtrl::default(),
             observer: Some(observer),
-            timings: Vec::new(),
         }
     }
 
@@ -120,14 +118,9 @@ impl<'obs> Session<'obs> {
         self
     }
 
-    /// The session's compile options.
-    pub fn options(&self) -> &CompileOptions {
-        &self.opts
-    }
-
     /// Runs one pass: checks the cancel token at the pass boundary,
-    /// notifies the observer, times the body, records the
-    /// [`PassTiming`], and hands the artifact to the observer. A pass
+    /// notifies the observer, times the body, and hands the elapsed
+    /// time and the artifact to the observer. A pass
     /// that rejects the program while the cancel token is tripped was
     /// interrupted (e.g. the skew enumeration observing the token
     /// mid-pass), not rejected. Timing-arithmetic overflow is its own
@@ -146,13 +139,8 @@ impl<'obs> Session<'obs> {
         let start = Instant::now();
         match f(&self.opts).map_err(Into::into) {
             Ok(artifact) => {
-                let elapsed = start.elapsed();
-                self.timings.push(PassTiming {
-                    name,
-                    duration: elapsed,
-                });
                 if let Some(obs) = self.observer.as_deref_mut() {
-                    obs.exit_pass(name, elapsed, &artifact);
+                    obs.exit_pass(name, start.elapsed(), &artifact);
                 }
                 Ok(artifact)
             }
@@ -198,8 +186,6 @@ impl<'obs> Session<'obs> {
     /// [`CompileFailure::TimingOverflow`] when the skew pass's exact
     /// rational arithmetic cannot represent the schedule.
     pub fn try_compile(mut self, source: &str) -> Result<CompiledModule, CompileFailure> {
-        let start = Instant::now();
-
         // The input-size guard: reject oversized sources before the
         // frontend allocates token and AST storage proportional to
         // them.
@@ -313,8 +299,6 @@ impl<'obs> Session<'obs> {
             w2_lines: source.lines().filter(|l| !l.trim().is_empty()).count() as u32,
             cell_ucode: cell_code.static_len(),
             iu_ucode: iu.static_len(),
-            compile_time: start.elapsed(),
-            per_pass: self.timings,
             rewrite_hits: rewrite_stats
                 .0
                 .hits()
@@ -347,9 +331,8 @@ impl<'obs> Session<'obs> {
 /// and [`std::thread::available_parallelism`].
 ///
 /// Results are returned in input order regardless of which thread
-/// finished first, and each element equals what a sequential
-/// [`compile`](crate::compile) of the same source would produce
-/// (timing metrics aside).
+/// finished first, and each element equals, bitwise as stored, what a
+/// sequential [`compile`](crate::compile) of the same source produces.
 ///
 /// The batch always completes: a program that fails — or even crashes —
 /// the compiler yields an `Err` in its slot while every other program
@@ -368,5 +351,5 @@ pub fn compile_many<S: AsRef<str> + Sync>(
     sources: &[S],
     opts: &CompileOptions,
 ) -> Vec<Result<CompiledModule, DiagnosticBag>> {
-    crate::service::compile_batch(sources, opts).into_results()
+    crate::service::compile_batch(sources, opts, &SessionCtrl::default()).into_results()
 }

@@ -24,8 +24,8 @@
 //!   never indexed, never served.
 //!
 //! Payload decode runs lazily on first read; a record whose checksum
-//! passes but whose payload no longer decodes (e.g. a pass was
-//! renamed without a schema bump) is quarantined at that point. The
+//! passes but whose payload no longer decodes (e.g. an enum tag was
+//! retired without a schema bump) is quarantined at that point. The
 //! invariant either way: a byte that was not written by this schema's
 //! encoder is never handed to a client.
 //!
@@ -40,76 +40,34 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
 
 use warp_common::vfs::{atomic_write, record, Vfs, VfsError, TMP_SUFFIX};
-use warp_common::wire::{from_bytes, to_bytes, Decode, Encode, WireError, WireReader};
-use warp_common::{ContentKey, PassTiming};
+use warp_common::wire::{from_bytes, to_bytes};
+use warp_common::ContentKey;
 
 use crate::cache::{CacheOutcome, CompileCache};
-use crate::{passes, CompileFailure, CompiledModule, Metrics};
+use crate::{CompileFailure, CompiledModule, Metrics};
 
 /// Schema version of the serialized artifact payload. Bump whenever
 /// any wire impl reachable from [`CompiledModule`] changes (field
-/// order, enum tags, pass names): old records then quarantine as
-/// stale instead of misdecoding. Version 2: host scripts are loop
-/// nests, not per-word lists.
-pub const STORE_SCHEMA_VERSION: u16 = 2;
+/// order, enum tags), or what [`cache_key`](crate::cache::cache_key)
+/// hashes: old records then quarantine as stale instead of
+/// misdecoding. Version 2: host scripts are loop nests, not per-word
+/// lists. Version 3: no wall-clock timings in [`Metrics`]; the key
+/// hashes the options' wire encoding.
+pub const STORE_SCHEMA_VERSION: u16 = 3;
 
 /// File extension of persisted artifacts.
 pub const ARTIFACT_EXT: &str = "wart";
 
 // --- CompiledModule wire codec -------------------------------------
 
-// `PassTiming` lives in warp-common but its `name` is a `&'static
-// str` into the driver's pass table, so the codec must live here: the
-// name round-trips as a string and decodes by lookup against
-// `passes::PIPELINE`. An unknown name means the payload predates a
-// pass rename — a decode error, which the store turns into
-// quarantine.
-impl Encode for Metrics {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.w2_lines.encode(out);
-        self.cell_ucode.encode(out);
-        self.iu_ucode.encode(out);
-        self.compile_time.encode(out);
-        self.per_pass.len().encode(out);
-        for t in &self.per_pass {
-            t.name.encode(out);
-            t.duration.encode(out);
-        }
-        self.rewrite_hits.encode(out);
-    }
-}
-
-impl Decode for Metrics {
-    fn decode(r: &mut WireReader<'_>) -> Result<Metrics, WireError> {
-        let w2_lines = u32::decode(r)?;
-        let cell_ucode = u32::decode(r)?;
-        let iu_ucode = u64::decode(r)?;
-        let compile_time = Duration::decode(r)?;
-        let n = r.checked_len(1)?;
-        let mut per_pass = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = String::decode(r)?;
-            let duration = Duration::decode(r)?;
-            let info = passes::find_pass(&name).ok_or(WireError::Invalid { what: "pass name" })?;
-            per_pass.push(PassTiming {
-                name: info.name,
-                duration,
-            });
-        }
-        let rewrite_hits = Vec::decode(r)?;
-        Ok(Metrics {
-            w2_lines,
-            cell_ucode,
-            iu_ucode,
-            compile_time,
-            per_pass,
-            rewrite_hits,
-        })
-    }
-}
+warp_common::wire_struct!(Metrics {
+    w2_lines,
+    cell_ucode,
+    iu_ucode,
+    rewrite_hits,
+});
 
 warp_common::wire_struct!(CompiledModule {
     name,
@@ -125,24 +83,18 @@ warp_common::wire_struct!(CompiledModule {
     warnings,
 });
 
-/// Serializes a module to its exact artifact payload bytes.
+/// Serializes a module to its exact artifact payload bytes. A module
+/// is a pure function of (source, options), so two compiles of one
+/// source agree on these bitwise.
 pub fn artifact_bytes(module: &CompiledModule) -> Vec<u8> {
     to_bytes(module)
 }
 
-/// Serializes a module with all wall-clock durations zeroed.
-///
-/// Compile times are the one nondeterministic part of a module, so
-/// bitwise artifact comparison (the soak's "never serve a corrupt
-/// artifact" check) compares canonical bytes: two correct compiles of
-/// the same source agree on these even though their timings differ.
+/// Alias of [`artifact_bytes`], kept only because
+/// `benchmark/src/workloads/compile.rs` still imports it (ROADMAP 2b
+/// drops that import, then this goes).
 pub fn canonical_artifact_bytes(module: &CompiledModule) -> Vec<u8> {
-    let mut m = module.clone();
-    m.metrics.compile_time = Duration::ZERO;
-    for t in &mut m.metrics.per_pass {
-        t.duration = Duration::ZERO;
-    }
-    to_bytes(&m)
+    artifact_bytes(module)
 }
 
 // --- Disk store ----------------------------------------------------
@@ -383,17 +335,6 @@ impl DiskStore {
         }
     }
 
-    /// Deletes the artifact for `key`; `false` when none was indexed.
-    pub fn remove(&self, key: ContentKey) -> bool {
-        let mut inner = self.lock();
-        if inner.index.remove(&key).is_none() {
-            return false;
-        }
-        let _ = self.vfs.remove_file(&self.path_for(key));
-        Self::refresh_gauges(&mut inner);
-        true
-    }
-
     /// Deletes every artifact (operator `cache clear`), returning the
     /// bytes reclaimed. Monotonic counters survive.
     pub fn clear(&self) -> u64 {
@@ -632,33 +573,35 @@ mod tests {
         assert_eq!(module.name, back.name);
         assert_eq!(module.cell_code, back.cell_code);
         assert_eq!(module.iu, back.iu);
-        assert_eq!(module.metrics.per_pass.len(), back.metrics.per_pass.len());
-        // Canonical bytes are stable across compiles of the same
-        // source even though wall-clock timings differ.
+        assert_eq!(module.metrics, back.metrics);
+        // Nothing in a module depends on when or how fast it compiled.
         let again = compile_ok(corpus::POLYNOMIAL);
-        assert_ne!(
-            artifact_bytes(&module),
-            artifact_bytes(&again),
-            "full bytes embed wall-clock timings"
-        );
-        assert_eq!(
-            canonical_artifact_bytes(&module),
-            canonical_artifact_bytes(&again)
-        );
+        assert_eq!(artifact_bytes(&module), artifact_bytes(&again));
     }
 
     #[test]
-    fn unknown_pass_name_fails_decode() {
+    fn undecodable_payload_quarantines_on_get() {
+        let vfs = MemVfs::new();
+        let store = mem_store(&vfs, 0);
         let mut module = compile_ok(corpus::POLYNOMIAL);
-        module.metrics.per_pass[0].name = "frontend";
-        let mut bytes = artifact_bytes(&module);
-        // Corrupt the pass name in place: "frontend" -> "frontund".
-        let pos = bytes
-            .windows(8)
-            .position(|w| w == b"frontend")
-            .expect("name present");
-        bytes[pos + 5] = b'u';
-        assert!(from_bytes::<CompiledModule>(&bytes).is_err());
+        module.warnings = vec![warp_common::Diagnostic::error_global("w")];
+        store.put(key_of(1), &module).expect("put");
+        // The payload ends with the warning, which opens with its
+        // severity tag. Retire that tag, then re-frame: length and
+        // checksum are valid, only the decoder can object.
+        let mut payload = artifact_bytes(&module);
+        let tag = payload.len() - to_bytes(&module.warnings[0]).len();
+        payload[tag] = 9;
+        assert!(from_bytes::<CompiledModule>(&payload).is_err());
+        let path = PathBuf::from(format!("/store/{}.{ARTIFACT_EXT}", key_of(1)));
+        let vfs_dyn: &dyn Vfs = &vfs;
+        vfs_dyn
+            .write(&path, &record::encode(STORE_SCHEMA_VERSION, &payload))
+            .unwrap();
+        assert!(store.get(key_of(1)).is_none(), "undecodable never served");
+        assert_eq!(store.stats().quarantined, 1);
+        assert!(!store.contains(key_of(1)));
+        assert_eq!(vfs.file_count(), 0);
     }
 
     #[test]
@@ -719,8 +662,8 @@ mod tests {
         let vfs = MemVfs::new();
         let vfs_dyn: &dyn Vfs = &vfs;
         vfs_dyn.create_dir_all(Path::new("/store")).unwrap();
-        // A record of the per-word-list schema and one from the future.
-        for (key, version) in [(8, 1), (9, STORE_SCHEMA_VERSION + 1)] {
+        // A record of the schema with timings and one from the future.
+        for (key, version) in [(8, 2), (9, STORE_SCHEMA_VERSION + 1)] {
             let path = PathBuf::from(format!("/store/{}.{ARTIFACT_EXT}", key_of(key)));
             let stale = record::encode(version, b"payload of another schema");
             vfs_dyn.write(&path, &stale).unwrap();

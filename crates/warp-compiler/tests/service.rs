@@ -79,6 +79,7 @@ fn batch_of_one(name: &str, source: &str, config: &ServiceConfig) -> BatchReport
     compile_batch_named(
         vec![(name.to_owned(), source.to_owned())],
         &CompileOptions::default(),
+        &SessionCtrl::default(),
         config,
     )
 }
@@ -314,6 +315,7 @@ fn shed_batch_jobs_keep_their_submission_slots() {
     let batch = compile_batch_named(
         named,
         &CompileOptions::default(),
+        &SessionCtrl::default(),
         &ServiceConfig {
             exec: ExecutorConfig {
                 queue_capacity: 2,

@@ -1,14 +1,23 @@
 //! Wire codec impls for the IR types persisted inside a
-//! `CompiledModule` artifact. Enum tags and field orders are on-disk
-//! format; changing them requires a store schema-version bump.
+//! `CompiledModule` artifact, and for the [`LowerOptions`] the cache
+//! key hashes. Enum tags and field orders are on-disk format; changing
+//! them requires a store schema-version bump.
 //! ([`crate::region::Layout`]'s impls live in `region.rs` because its
 //! fields are module-private.)
 
 use crate::affine::{Affine, LoopId};
+use crate::build::LowerOptions;
 use crate::comm::CommReport;
 use crate::dag::{Block, BlockId, CmpOp, HostSlot, Node, NodeId, NodeKind};
 use crate::region::{CellIr, LoopMeta, Region};
 use warp_common::{wire_enum, wire_newtype, wire_struct};
+
+wire_struct!(LowerOptions {
+    optimize,
+    memory_words,
+    unroll,
+    reassociate,
+});
 
 wire_newtype!(LoopId);
 wire_newtype!(NodeId);

@@ -1,9 +1,18 @@
 //! Wire codec impls for the IU program types persisted inside a
-//! `CompiledModule` artifact. Enum tags and field orders are on-disk
-//! format; changing them requires a store schema-version bump.
+//! `CompiledModule` artifact, and for the [`IuOptions`] the cache key
+//! hashes. Enum tags and field orders are on-disk format; changing
+//! them requires a store schema-version bump.
 
+use crate::codegen::IuOptions;
 use crate::program::{EmitPlan, EmitSource, IuBlock, IuOp, IuProgram, IuReg, IuRegion};
 use warp_common::{wire_enum, wire_newtype, wire_struct};
+
+wire_struct!(IuOptions {
+    registers,
+    table_words,
+    share_registers,
+    strength_reduction,
+});
 
 wire_newtype!(IuReg);
 

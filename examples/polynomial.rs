@@ -9,10 +9,7 @@ use warp::compiler::{compile, corpus, reference, CompileOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let module = compile(corpus::POLYNOMIAL, &CompileOptions::default())?;
-    println!(
-        "compiled `{}` for {} cells in {:?}",
-        module.name, module.n_cells, module.metrics.compile_time
-    );
+    println!("compiled `{}` for {} cells", module.name, module.n_cells);
     println!(
         "cell µcode {} instructions, IU µcode {}, minimum skew {} cycles",
         module.metrics.cell_ucode, module.metrics.iu_ucode, module.skew.min_skew

@@ -25,3 +25,17 @@ pub use warp_skew as skew;
 
 pub use warp_cell as cell;
 pub use warp_ir as ir;
+
+/// The serving layer — cache, store, daemon, protocol, the chaos
+/// scenarios and the worker-pool types they are configured with —
+/// under its permanent public name. Which crate a module lives in is
+/// not part of this interface.
+pub mod serve {
+    pub use warp_compiler::{
+        cache, crash, daemon, health, isolate, protocol, scenario, service, store,
+    };
+    pub use warp_service::{
+        ExecutorConfig, JobOutcome, JobSuccess, PoolConfig, ShutdownMode, WorkerPool,
+        SUPERVISE_MANUAL,
+    };
+}

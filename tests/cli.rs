@@ -83,7 +83,7 @@ fn corpus_shortcut_works() {
 }
 
 #[test]
-fn time_passes_prints_all_eight_stages() {
+fn time_passes_prints_all_nine_stages() {
     let out = w2c()
         .args(["--corpus", "polynomial", "--time-passes"])
         .output()
@@ -95,15 +95,18 @@ fn time_passes_prints_all_eight_stages() {
         "frontend",
         "comm",
         "lower",
+        "rewrite",
         "decompose",
         "cell-codegen",
         "skew",
         "iu-codegen",
         "host-codegen",
     ] {
-        assert!(stdout.contains(pass), "missing pass `{pass}`: {stdout}");
+        let row = format!("\n  {pass} ");
+        assert!(stdout.contains(&row), "missing pass `{pass}`: {stdout}");
     }
     assert!(stdout.contains("% of total"), "{stdout}");
+    assert!(stdout.contains("\n  total "), "{stdout}");
 }
 
 /// The `--dump-after lower` output for the polynomial program is
@@ -185,6 +188,45 @@ fn corpus_all_batch_compiles_every_program() {
     let poly = stdout.find("polynomial").expect("row");
     let mandel = stdout.find("mandelbrot").expect("row");
     assert!(poly < mandel, "deterministic row order: {stdout}");
+}
+
+/// The `cell ucode` / `IU ucode` columns of one `--corpus all` row.
+fn corpus_all_row(stdout: &str, name: &str) -> (String, String) {
+    let row = stdout
+        .lines()
+        .find(|l| l.starts_with(name))
+        .unwrap_or_else(|| panic!("no `{name}` row: {stdout}"));
+    let cols: Vec<&str> = row.split_whitespace().collect();
+    (cols[2].to_owned(), cols[3].to_owned())
+}
+
+/// `--corpus all` promises to combine with compilation options:
+/// `--no-pipeline` must reach the batch's jobs, as it reaches a single
+/// `--corpus polynomial` compile (17 / 21 list-scheduled, 24 / 28
+/// modulo-scheduled).
+#[test]
+fn corpus_all_honours_no_pipeline() {
+    let run = |extra: &[&str]| {
+        let out = w2c()
+            .args(["--corpus", "all"])
+            .args(extra)
+            .output()
+            .expect("w2c runs");
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let (pipelined, listed) = (run(&[]), run(&["--no-pipeline"]));
+    let words = |n: u32| n.to_string();
+    assert_eq!(
+        corpus_all_row(&listed, "polynomial"),
+        (words(17), words(21)),
+        "{listed}"
+    );
+    assert_ne!(
+        corpus_all_row(&pipelined, "polynomial"),
+        corpus_all_row(&listed, "polynomial"),
+        "{pipelined}"
+    );
 }
 
 #[test]

@@ -15,8 +15,7 @@
 //! ```
 //!
 //! then review the diff of `tests/golden/*.txt` like any other code
-//! change. The wall-clock `compile time` line is stripped before
-//! comparison; everything else the driver prints is deterministic.
+//! change. Everything the driver prints is deterministic.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -39,9 +38,9 @@ fn w2c() -> Command {
     Command::new(path)
 }
 
-/// Emits the listing for one corpus file with the nondeterministic
-/// `compile time` line removed. `extra` is appended to the argument
-/// list (e.g. `--no-pipeline` for the list-scheduled baseline).
+/// Emits the listing for one corpus file. `extra` is appended to the
+/// argument list (e.g. `--no-pipeline` for the list-scheduled
+/// baseline).
 fn emit(corpus_file: &str, extra: &[&str]) -> String {
     // `w2c` echoes the path it was given into line 1 of the listing, so
     // pass it relative to the checkout: the snapshots then hold in any
@@ -59,10 +58,7 @@ fn emit(corpus_file: &str, extra: &[&str]) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let mut kept: Vec<&str> = stdout
-        .lines()
-        .filter(|l| !l.contains("compile time"))
-        .collect();
+    let mut kept: Vec<&str> = stdout.lines().collect();
     // Normalize the trailing newline so editors that add one don't
     // break the comparison.
     while kept.last().is_some_and(|l| l.trim().is_empty()) {

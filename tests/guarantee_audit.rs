@@ -3,16 +3,29 @@
 //! degrade gracefully, and error sources chain to their root cause.
 
 use warp::compiler::audit::{audit, audit_corpus, AuditOptions};
-use warp::compiler::{compile, compile_many, corpus, CompileOptions, CompileOrSimError};
+use warp::compiler::{
+    compile, compile_many, corpus, CompileOptions, CompileOrSimError, SessionCtrl,
+};
 use warp::sim::{Fault, FaultPlan, SimError, SimOptions};
 
 #[test]
 fn every_corpus_program_passes_the_audit() {
-    let results = audit_corpus(&AuditOptions::default(), &CompileOptions::default());
-    assert!(results.len() >= 5, "audit corpus covers Table 7-1");
-    for (name, result) in results {
-        let report = result.unwrap_or_else(|e| panic!("{name} failed to compile:\n{e}"));
-        assert!(report.passed(), "{name} failed its audit:\n{report}");
+    // Modulo-scheduled and list-scheduled code make different timing
+    // claims; both must hold.
+    for pipeline in [true, false] {
+        let ctrl = SessionCtrl {
+            pipeline,
+            ..SessionCtrl::default()
+        };
+        let results = audit_corpus(&AuditOptions::default(), &CompileOptions::default(), &ctrl);
+        assert!(results.len() >= 5, "audit corpus covers Table 7-1");
+        for (name, result) in results {
+            let report = result.unwrap_or_else(|e| panic!("{name} failed to compile:\n{e}"));
+            assert!(
+                report.passed(),
+                "{name} (pipeline {pipeline}) failed its audit:\n{report}"
+            );
+        }
     }
 }
 

@@ -7,9 +7,9 @@
 
 use std::collections::BTreeMap;
 use warp::compiler::corpus;
-use warp::compiler::store::artifact_bytes;
 use warp::compiler::{CompileOptions, CompiledModule, Session, SessionCtrl};
 use warp::host::{HostScript, HostWord};
+use warp::serve::store::artifact_bytes;
 use warp::skew::{visit_events, HostBinding};
 use warp::w2::ast::Chan;
 use warp::w2::hir::VarId;

@@ -6,7 +6,7 @@
 //! mid-flight shutdown — and the whole run must be a pure function of
 //! the seed.
 
-use warp::compiler::scenario::{run_soak, SoakConfig, Verdict};
+use warp::serve::scenario::{run_soak, SoakConfig, Verdict};
 
 /// The acceptance configuration: ≥4 workers, ≥200 jobs, a nonzero
 /// poison fraction, overload probes at 1×/4×/16×.

@@ -4,8 +4,8 @@
 //! compiles), account for every entry at each recovery scan, and
 //! produce an identical report for an identical seed.
 
-use warp_compiler::crash::{run_crash_soak, CrashSoakConfig};
-use warp_compiler::scenario::Verdict;
+use warp::serve::crash::{run_crash_soak, CrashSoakConfig};
+use warp::serve::scenario::Verdict;
 
 #[test]
 fn crash_soak_meets_the_acceptance_bar() {

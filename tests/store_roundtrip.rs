@@ -1,13 +1,20 @@
 //! Property tests for the persistent artifact codec: seeded random
 //! `CompiledModule`s must round-trip bitwise through the wire format,
-//! and no single-bit corruption of a framed artifact may ever reach
-//! the decoder — the record checksum catches every flip.
+//! an artifact is a pure function of (source, options) — in one
+//! process, through the batch engine, and as two stores hold it — and
+//! no single-bit corruption of a framed artifact may ever reach the
+//! decoder — the record checksum catches every flip.
 
-use warp_common::vfs::record;
-use warp_common::wire::from_bytes;
-use warp_common::SplitMix64;
-use warp_compiler::store::{artifact_bytes, canonical_artifact_bytes, STORE_SCHEMA_VERSION};
-use warp_compiler::{corpus, CompileOptions, CompiledModule, Session};
+use std::path::PathBuf;
+use std::sync::Arc;
+use warp::common::vfs::record;
+use warp::common::wire::from_bytes;
+use warp::common::{MemVfs, SplitMix64, Vfs};
+use warp::compiler::{corpus, CompileOptions, CompiledModule, Session, SessionCtrl};
+use warp::oracle::{generate, GenConfig};
+use warp::serve::cache::cache_key;
+use warp::serve::service::compile_batch;
+use warp::serve::store::{artifact_bytes, DiskStore, StoreConfig, STORE_SCHEMA_VERSION};
 
 fn compile(source: &str) -> CompiledModule {
     Session::new(CompileOptions::default())
@@ -60,19 +67,77 @@ fn seeded_random_modules_round_trip_bitwise() {
     }
 }
 
+/// Every `corpus/*.w2` file plus 100 generated programs.
+fn purity_sources() -> Vec<String> {
+    let dir = format!("{}/corpus", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("list {dir}: {e}"))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "w2"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 7, "{files:?}");
+    let read = |path: &PathBuf| std::fs::read_to_string(path).expect("corpus file reads");
+    let generated = (0..100).map(|seed| generate(seed, &GenConfig::default()).source);
+    files.iter().map(read).chain(generated).collect()
+}
+
+/// Two compiles of one source are equal as stored, and so is the slot
+/// the batch engine fills for it on a worker thread — with and without
+/// modulo scheduling.
 #[test]
-fn canonical_bytes_are_compile_invariant() {
-    let mut rng = SplitMix64::new(0xA27F_0002);
-    for _ in 0..4 {
-        let source = random_source(&mut rng);
-        let first = compile(&source);
-        let second = compile(&source);
-        assert_eq!(
-            canonical_artifact_bytes(&first),
-            canonical_artifact_bytes(&second),
-            "two compiles of one source must agree canonically"
-        );
+fn artifact_bytes_are_compile_invariant() {
+    let opts = CompileOptions::default();
+    let sources = purity_sources();
+    for pipeline in [true, false] {
+        let ctrl = SessionCtrl {
+            pipeline,
+            ..SessionCtrl::default()
+        };
+        let compile = |source: &str| {
+            Session::new(opts.clone())
+                .with_ctrl(ctrl.clone())
+                .compile(source)
+                .map(|m| artifact_bytes(&m))
+                .map_err(|d| d.to_string())
+        };
+        let batch = compile_batch(&sources, &opts, &ctrl).into_results();
+        let mut compiled = 0;
+        for (i, (source, slot)) in sources.iter().zip(batch).enumerate() {
+            let first = compile(source);
+            compiled += usize::from(first.is_ok());
+            assert_eq!(first, compile(source), "source {i}, pipeline {pipeline}");
+            let slot = slot.map(|m| artifact_bytes(&m)).map_err(|d| d.to_string());
+            assert_eq!(first, slot, "source {i}, pipeline {pipeline}: batch slot");
+        }
+        assert!(compiled >= 100, "only {compiled} sources compiled");
     }
+}
+
+/// Two stores fed the same five compiles hold the same files with the
+/// same bytes: nothing of the run (time, order of threads, addresses)
+/// reaches the disk.
+#[test]
+fn two_stores_fed_the_same_compiles_are_identical() {
+    let dir = PathBuf::from("/store");
+    let (opts, ctrl) = (CompileOptions::default(), SessionCtrl::default());
+    let fill = || {
+        let vfs = MemVfs::new();
+        let store = DiskStore::open(Arc::new(vfs.clone()), StoreConfig::new(&dir)).expect("open");
+        for (_, source) in corpus::TABLE_7_1 {
+            store
+                .put(cache_key(source, &opts, &ctrl), &compile(source))
+                .expect("put");
+        }
+        let vfs: &dyn Vfs = &vfs;
+        let mut files = vfs.list_files(&dir).expect("list");
+        files.sort();
+        let contents: Vec<Vec<u8>> = files.iter().map(|f| vfs.read(f).expect("read")).collect();
+        (files, contents)
+    };
+    let (a, b) = (fill(), fill());
+    assert_eq!(a.0.len(), 5);
+    assert_eq!(a, b);
 }
 
 #[test]

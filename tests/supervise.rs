@@ -9,14 +9,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
+use warp::compiler::{corpus, CompileOptions};
+use warp::serve::cache::CacheConfig;
+use warp::serve::daemon::{CompileDaemon, DaemonConfig};
+use warp::serve::scenario::{run_wedge_soak, WedgeSoakConfig};
+use warp::serve::service::ServiceConfig;
+use warp::serve::{ExecutorConfig, JobOutcome, ShutdownMode, SUPERVISE_MANUAL};
 use warp_common::{Clock, ManualClock};
-use warp_compiler::cache::CacheConfig;
-use warp_compiler::corpus;
-use warp_compiler::daemon::{CompileDaemon, DaemonConfig};
-use warp_compiler::scenario::{run_wedge_soak, WedgeSoakConfig};
-use warp_compiler::service::ServiceConfig;
-use warp_compiler::CompileOptions;
-use warp_service::{ExecutorConfig, JobOutcome, ShutdownMode};
 
 /// Builds (once) and returns the debug `w2cd` binary — the isolation
 /// child the escalation ladder re-execs. Library tests must never let
@@ -52,7 +51,7 @@ fn daemon_config(workers: usize, breaker_threshold: u32, grace_ticks: u64) -> Da
             max_cell_cycles: 100_000_000,
             max_source_bytes: 4 * 1024 * 1024,
             supervise_grace_ticks: grace_ticks,
-            supervise_interval_ms: warp_service::SUPERVISE_MANUAL,
+            supervise_interval_ms: SUPERVISE_MANUAL,
         },
         cache: CacheConfig::default(),
         store: None,
