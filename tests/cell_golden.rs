@@ -6,9 +6,10 @@
 //! with `regs_used`, `scratch_words` and the pipelined loops as plain
 //! columns beside it. The programs are `corpus/*.w2`, the generator
 //! sweeps the benchmark compiles, and 800 `warp_oracle::generate`
-//! programs, so a change to scheduling, register allocation or
-//! emission that moves a single field anywhere shows up as a changed
-//! row.
+//! programs, plus 200 of those again at register files of 3, 4 and 6
+//! (the only rows that spill), so a change to scheduling, register
+//! allocation, spilling or emission that moves a single field anywhere
+//! shows up as a changed row.
 //!
 //! When the back end's output changes on purpose, refresh the table
 //! with
@@ -44,6 +45,12 @@ const CORPUS: [&str; 7] = [
 const DEFAULT_SEEDS: u64 = 600;
 /// Seeds pinned under [`wide_config`].
 const WIDE_SEEDS: u64 = 200;
+/// `GenConfig::default()` seeds pinned again at each of
+/// [`SMALL_FILES`], where the spill path runs (`scratch > 0`) or the
+/// block is rejected; no row at the default file spills.
+const SMALL_FILE_SEEDS: u64 = 200;
+/// Register-file sizes small enough to force spills.
+const SMALL_FILES: [u32; 3] = [3, 4, 6];
 
 /// The benchmark's generator budget for compile and serve items.
 fn wide_config() -> GenConfig {
@@ -149,6 +156,14 @@ fn build_table() -> String {
     for seed in 0..WIDE_SEEDS {
         let src = generate(seed, &wide_config()).source;
         programs.push((format!("gen-wide-{seed}"), src, gen_options()));
+    }
+    for registers in SMALL_FILES {
+        let mut opts = gen_options();
+        opts.machine.registers = registers;
+        for seed in 0..SMALL_FILE_SEEDS {
+            let src = generate(seed, &GenConfig::default()).source;
+            programs.push((format!("gen-{seed}-regs{registers}"), src, opts.clone()));
+        }
     }
 
     let mut table = String::new();
