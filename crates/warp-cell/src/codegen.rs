@@ -15,11 +15,11 @@ use crate::mcode::{
     MicroInst, Operand, Reg,
 };
 use crate::regalloc::{allocate_excluding, Allocation, SpillNeeded};
-use crate::sched::{schedule, BlockSchedule};
-use std::collections::{HashMap, HashSet};
+use crate::sched::{schedule, BlockFacts, BlockSchedule};
 use w2_lang::hir::VarId;
-use warp_common::{Diagnostic, DiagnosticBag};
-use warp_ir::{Affine, Block, CellIr, HostSlot, Node, NodeId, NodeKind, Region};
+use warp_common::idvec::Id as _;
+use warp_common::{Diagnostic, DiagnosticBag, IdVec};
+use warp_ir::{Affine, Block, BlockId, CellIr, HostSlot, Node, NodeId, NodeKind, Region};
 
 /// Synthetic variable id for register-spill scratch words.
 pub const SCRATCH_VAR: VarId = VarId(u32::MAX);
@@ -101,36 +101,18 @@ impl Assembler<'_> {
     fn assemble(&mut self, region: &Region) -> Vec<CodeRegion> {
         match region {
             Region::Block(bid) => {
-                let block = &self.ir.blocks[*bid];
-                let compiled = compile_block(
-                    block,
-                    self.machine,
-                    self.scratch_base,
-                    &mut self.scratch_words,
-                );
-                let mut code = match compiled {
-                    Ok((code, regs)) => {
-                        self.regs_used = self.regs_used.max(regs);
-                        code
-                    }
-                    Err(msg) => {
-                        self.diags
-                            .push(Diagnostic::error_global(format!("block {bid}: {msg}")));
-                        BlockCode::default()
-                    }
-                };
-                code.source = Some(*bid);
-                vec![CodeRegion::Block(code)]
+                let facts = BlockFacts::new(&self.ir.blocks[*bid], self.machine);
+                vec![CodeRegion::Block(self.block(*bid, &facts))]
             }
             Region::Loop { id, body } => {
                 let count = self.ir.loops[*id].count;
-                let (scratch_words, regs_used) = (self.scratch_words, self.regs_used);
-                let list = self.assemble(body);
-                if self.options.software_pipeline {
-                    if let (Region::Block(bid), [CodeRegion::Block(code)]) = (&**body, &list[..]) {
+                let body = match &**body {
+                    Region::Block(bid) if self.options.software_pipeline => {
+                        let facts = BlockFacts::new(&self.ir.blocks[*bid], self.machine);
+                        let (scratch_words, regs_used) = (self.scratch_words, self.regs_used);
+                        let code = self.block(*bid, &facts);
                         if let Some(p) = crate::modulo::try_pipeline(
-                            &self.ir.blocks[*bid],
-                            self.machine,
+                            &facts,
                             count,
                             *id,
                             self.ir.loops[*id].lo,
@@ -157,54 +139,80 @@ impl Assembler<'_> {
                                 CodeRegion::Block(p.epilogue),
                             ];
                         }
+                        vec![CodeRegion::Block(code)]
                     }
-                }
+                    body => self.assemble(body),
+                };
                 vec![CodeRegion::Loop {
                     id: *id,
                     count,
-                    body: list,
+                    body,
                 }]
             }
             Region::Seq(rs) => rs.iter().flat_map(|r| self.assemble(r)).collect(),
         }
     }
+
+    /// The list-scheduled code of block `bid`; a block that cannot be
+    /// compiled is reported and stands in as empty code.
+    fn block(&mut self, bid: BlockId, facts: &BlockFacts<'_>) -> BlockCode {
+        let mut code = match compile_block(facts, self.scratch_base, &mut self.scratch_words) {
+            Ok((code, regs)) => {
+                self.regs_used = self.regs_used.max(regs);
+                code
+            }
+            Err(msg) => {
+                self.diags
+                    .push(Diagnostic::error_global(format!("block {bid}: {msg}")));
+                BlockCode::default()
+            }
+        };
+        code.source = Some(bid);
+        code
+    }
 }
 
+/// Compiles one block, starting from the `facts` of the block as
+/// written; the DAG is copied (and analysed again) only once a spill
+/// rewrites it.
 fn compile_block(
-    block: &Block,
-    machine: &CellMachine,
+    facts: &BlockFacts<'_>,
     scratch_base: u32,
     scratch_words: &mut u32,
 ) -> Result<(BlockCode, u32), String> {
-    let mut block = block.clone();
-    let mut spilled: HashSet<NodeId> = HashSet::new();
+    let machine = facts.machine;
+    let mut rewritten: Option<Block> = None;
+    // Victims are always values of the block as written: a spill adds
+    // only scratch stores and reloads, and neither is ever chosen.
+    let mut spilled = vec![false; facts.block.nodes.len()];
     for _ in 0..MAX_SPILL_ROUNDS {
-        let sched = schedule(&block, machine);
-        debug_assert!(
-            crate::sched::validate(&block, machine, &sched).is_ok(),
-            "scheduler produced an illegal schedule: {:?}",
-            crate::sched::validate(&block, machine, &sched)
-        );
-        match allocate_excluding(&block, machine, &sched, machine.registers, &spilled) {
-            Ok(alloc) => {
-                let code = emit(&block, machine, &sched, &alloc)?;
-                return Ok((code, alloc.regs_used));
+        let victim = {
+            let again = rewritten.as_ref().map(|b| BlockFacts::new(b, machine));
+            let facts = again.as_ref().unwrap_or(facts);
+            let sched = schedule(facts);
+            debug_assert!(
+                crate::sched::validate(facts, &sched).is_ok(),
+                "scheduler produced an illegal schedule: {:?}",
+                crate::sched::validate(facts, &sched)
+            );
+            match allocate_excluding(facts, &sched, machine.registers, &spilled) {
+                Ok(alloc) => return Ok((emit(facts, &sched, &alloc)?, alloc.regs_used)),
+                Err(SpillNeeded { victim: None }) => {
+                    return Err(format!(
+                        "register file of {} registers is too small for this block even with spilling",
+                        machine.registers
+                    ));
+                }
+                Err(SpillNeeded {
+                    victim: Some(victim),
+                }) => victim,
             }
-            Err(SpillNeeded { victim: None }) => {
-                return Err(format!(
-                    "register file of {} registers is too small for this block even with spilling",
-                    machine.registers
-                ));
-            }
-            Err(SpillNeeded {
-                victim: Some(victim),
-            }) => {
-                let addr = i64::from(scratch_base + *scratch_words);
-                *scratch_words += 1;
-                spilled.insert(victim);
-                spill(&mut block, victim, addr);
-            }
-        }
+        };
+        let addr = i64::from(scratch_base + *scratch_words);
+        *scratch_words += 1;
+        spilled[victim.index()] = true;
+        let block = rewritten.get_or_insert_with(|| facts.block.clone());
+        spill(block, victim, addr);
     }
     Err("register allocation did not converge after spilling".to_owned())
 }
@@ -249,17 +257,20 @@ fn spill(block: &mut Block, victim: NodeId, addr: i64) {
 }
 
 fn emit(
-    block: &Block,
-    machine: &CellMachine,
+    facts: &BlockFacts<'_>,
     sched: &BlockSchedule,
     alloc: &Allocation,
 ) -> Result<BlockCode, String> {
-    let mut ops = block.live_nodes();
-    ops.retain(|&n| machine.unit_of(&block.nodes[n].kind) != Unit::None);
-    ops.sort_by_key(|&n| (sched.time[&n], n));
+    let mut ops: Vec<(u32, NodeId)> = facts
+        .live
+        .iter()
+        .filter(|&&n| facts.unit[n] != Unit::None)
+        .map(|&n| (sched.at(n), n))
+        .collect();
+    ops.sort_unstable();
     let mut code = BlockBuilder::new(sched.len);
-    for n in ops {
-        code.place(sched.time[&n], block, n, &alloc.assignment, Clone::clone)?;
+    for (t, n) in ops {
+        code.place(t, facts.block, n, &alloc.assignment, Clone::clone)?;
     }
     Ok(code.finish())
 }
@@ -299,18 +310,18 @@ impl BlockBuilder {
         cycle: u32,
         block: &Block,
         n: NodeId,
-        regs: &HashMap<NodeId, Reg>,
+        regs: &IdVec<NodeId, Option<Reg>>,
         ext: impl Fn(&Option<HostSlot>) -> Option<HostSlot>,
     ) -> Result<(), String> {
         let node = &block.nodes[n];
         let operand = |p: NodeId| match block.nodes[p].kind {
             NodeKind::ConstF(v) => Ok(Operand::Imm(v)),
             NodeKind::ConstB(v) => Ok(Operand::ImmB(v)),
-            _ => regs.get(&p).map(|&r| Operand::Reg(r)).ok_or_else(|| {
+            _ => regs[p].map(Operand::Reg).ok_or_else(|| {
                 format!("node {p:?} is consumed but was never allocated a register")
             }),
         };
-        let dst = regs.get(&n).copied();
+        let dst = regs[n];
         let fpu = |field: &mut Option<FpuField>, op: AluOp| {
             debug_assert!(field.is_none(), "FPU double-booked");
             let srcs = node

@@ -54,6 +54,5 @@ pub use mcode::{
     AddrSource, AluOp, BlockCode, CellCode, CodeRegion, FpuField, IoEvent, IoField, MemField,
     MicroInst, Operand, PipelineInfo, Reg,
 };
-pub use modulo::{validate_modulo, PipelinedLoop};
-pub use regalloc::{allocate, allocate_modulo, Allocation, SpillNeeded};
-pub use sched::{schedule, validate, BlockSchedule};
+pub use regalloc::{allocate, Allocation, SpillNeeded};
+pub use sched::{schedule, validate, BlockFacts, BlockSchedule};

@@ -7,8 +7,8 @@
 //! implements the full iterative form:
 //!
 //! * the candidate II starts at the **minimum initiation interval**,
-//!   the larger of the resource bound ([`resource_mii`]) and the
-//!   recurrence bound ([`rec_mii`], a Bellman–Ford positive-cycle test
+//!   the larger of the resource bound (`resource_mii`) and the
+//!   recurrence bound (`rec_mii`, a Bellman–Ford positive-cycle test
 //!   over loop-carried dependence cycles);
 //! * ops are placed highest-first (priority = latency height) into a
 //!   **modulo reservation table**; when no conflict-free slot exists in
@@ -29,7 +29,7 @@
 //!   works for all in-flight iterations (no modulo variable expansion):
 //!   every use must issue within `latency(def) + II − 1` cycles of its
 //!   definition — iteration *i+1*'s writeback then lands strictly after
-//!   iteration *i*'s last read. [`crate::regalloc::allocate_modulo`]
+//!   iteration *i*'s last read. `regalloc::allocate_modulo`
 //!   enforces this while it packs the cyclic lifetime arcs so disjoint
 //!   values share registers.
 //!
@@ -38,16 +38,16 @@
 //! stage count — the classic ramp-up / steady-state / drain shape.
 
 use crate::codegen::BlockBuilder;
-use crate::machine::{CellMachine, Unit, UnitRow};
+use crate::machine::{Unit, UnitRow};
 use crate::mcode::BlockCode;
 use crate::regalloc::{allocate_modulo, Allocation};
-use crate::sched::{build_edges, check, successors, EdgeSpec};
-use std::collections::HashMap;
-use warp_ir::{Affine, Block, HostSlot, LoopId, NodeId, NodeKind};
+use crate::sched::{check, BlockFacts, Times};
+use warp_common::IdVec;
+use warp_ir::{Affine, HostSlot, LoopId, NodeId, NodeKind};
 
 /// A pipelined loop: ramp-up block, steady-state kernel, drain block.
 #[derive(Clone, Debug)]
-pub struct PipelinedLoop {
+pub(crate) struct PipelinedLoop {
     /// Ramp-up code ((SC−1)·II cycles).
     pub prologue: BlockCode,
     /// Steady state (II cycles, executed `kernel_count` times).
@@ -64,27 +64,25 @@ pub struct PipelinedLoop {
     pub regs_used: u32,
 }
 
-/// Attempts to software-pipeline `block` (the body of a loop running
-/// `count` iterations of loop `loop_id` whose index starts at `lo`).
-/// Returns `None` when the loop is ineligible, when no II below
-/// `baseline_len` schedules, when registers cannot be assigned, or when
-/// the pipelined shape would not beat `count` executions of the list
-/// schedule.
-pub fn try_pipeline(
-    block: &Block,
-    machine: &CellMachine,
+/// Attempts to software-pipeline the block of `facts` (the body of a
+/// loop running `count` iterations of loop `loop_id` whose index starts
+/// at `lo`). Returns `None` when the loop is ineligible, when no II
+/// below `baseline_len` schedules, when registers cannot be assigned, or
+/// when the pipelined shape would not beat `count` executions of the
+/// list schedule.
+pub(crate) fn try_pipeline(
+    facts: &BlockFacts<'_>,
     count: u64,
     loop_id: LoopId,
     lo: i64,
     baseline_len: u32,
 ) -> Option<PipelinedLoop> {
-    let live = block.live_nodes();
-    if live.is_empty() || baseline_len < 2 {
+    if facts.live.is_empty() || baseline_len < 2 {
         return None;
     }
     // Eligibility: no IU addresses.
-    for &n in &live {
-        match &block.nodes[n].kind {
+    for &n in &facts.live {
+        match &facts.block.nodes[n].kind {
             NodeKind::Load { addr, .. } | NodeKind::Store { addr, .. } if !addr.is_constant() => {
                 return None;
             }
@@ -92,16 +90,13 @@ pub fn try_pipeline(
         }
     }
 
-    let edges = build_edges(block, machine, &live);
-    let mii = resource_mii(block, machine, &live)
-        .max(rec_mii(&live, &edges, baseline_len))
-        .max(1);
+    let mii = resource_mii(facts).max(rec_mii(facts, baseline_len)).max(1);
 
     for ii in mii..baseline_len {
-        let Some(times) = ims_schedule(block, machine, &live, &edges, ii, baseline_len) else {
+        let Some(times) = ims_schedule(facts, ii, baseline_len) else {
             continue;
         };
-        let max_t = times.values().copied().max().unwrap_or(0);
+        let max_t = times.values().flatten().copied().max().unwrap_or(0);
         let stages = max_t / ii + 1;
         if stages < 2 {
             // The whole iteration fits in one II: plain scheduling
@@ -111,7 +106,7 @@ pub fn try_pipeline(
         if count < u64::from(stages) {
             continue; // not enough iterations to fill the pipe
         }
-        let Some(alloc) = allocate_modulo(block, machine, &times, ii) else {
+        let Some(alloc) = allocate_modulo(facts, &times, ii) else {
             continue; // a lifetime outlasts the II, or the arcs overflow the file
         };
         // Profitability: the pipelined shape must be strictly shorter
@@ -123,23 +118,28 @@ pub fn try_pipeline(
         if piped >= count * u64::from(baseline_len) {
             continue;
         }
-        debug_assert!(validate_modulo(block, machine, &times, ii).is_ok());
-        return emit(block, &times, ii, stages, count, loop_id, lo, &alloc);
+        return emit(facts, &times, ii, stages, count, loop_id, lo, &alloc);
     }
     None
 }
 
 /// Resource-bound MII: the most-used unit must fit one iteration's worth
 /// of ops into II cycles.
-pub fn resource_mii(block: &Block, machine: &CellMachine, live: &[NodeId]) -> u32 {
-    let mut ops: HashMap<Unit, u32> = HashMap::new();
-    for &n in live {
-        *ops.entry(machine.unit_of(&block.nodes[n].kind))
-            .or_insert(0) += 1;
+pub(crate) fn resource_mii(facts: &BlockFacts<'_>) -> u32 {
+    // At most seven units exist (two FPUs, memory, four I/O ports).
+    let mut ops: Vec<(Unit, u32)> = Vec::new();
+    for &n in &facts.live {
+        let unit = facts.unit[n];
+        if unit == Unit::None {
+            continue;
+        }
+        match ops.iter_mut().find(|(u, _)| *u == unit) {
+            Some((_, count)) => *count += 1,
+            None => ops.push((unit, 1)),
+        }
     }
     ops.into_iter()
-        .filter(|&(unit, _)| unit != Unit::None)
-        .map(|(unit, n)| n.div_ceil(machine.ports(unit)))
+        .map(|(unit, n)| n.div_ceil(facts.machine.ports(unit)))
         .max()
         .unwrap_or(0)
 }
@@ -147,31 +147,35 @@ pub fn resource_mii(block: &Block, machine: &CellMachine, live: &[NodeId]) -> u3
 /// Recurrence-bound MII: the smallest II for which no dependence cycle
 /// demands more latency than `II × distance` provides. Each cycle C
 /// requires `II ≥ ⌈Σlat(C) / Σdist(C)⌉`; rather than enumerate cycles,
-/// test each candidate II for a positive-weight cycle under edge weight
-/// `lat − dist·II` (Bellman–Ford style longest-path relaxation: still
-/// relaxing after |V| rounds ⇔ a positive cycle exists). Returns `cap`
-/// when every II below it is infeasible.
-pub fn rec_mii(live: &[NodeId], edges: &[EdgeSpec], cap: u32) -> u32 {
-    for ii in 1..cap {
-        if !has_positive_cycle(live, edges, ii) {
-            return ii;
+/// test a candidate II for a positive-weight cycle under edge weight
+/// `lat − dist·II`. Every `dist ≥ 0`, so raising the II only lowers
+/// weights and feasibility is monotone: the smallest feasible II is
+/// found by bisection. Returns `cap` when every II below it is
+/// infeasible.
+pub(crate) fn rec_mii(facts: &BlockFacts<'_>, cap: u32) -> u32 {
+    let mut pot = facts.table(0i64);
+    let (mut lo, mut hi) = (cap.min(1), cap);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if has_positive_cycle(facts, mid, &mut pot) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
         }
     }
-    cap
+    lo
 }
 
-fn has_positive_cycle(live: &[NodeId], edges: &[EdgeSpec], ii: u32) -> bool {
-    let idx: HashMap<NodeId, usize> = live.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-    let mut pot = vec![0i64; live.len()];
-    for _ in 0..=live.len() {
+/// Bellman–Ford style longest-path relaxation over `pot` (one slot per
+/// node): still relaxing after |V| rounds ⇔ a positive cycle exists.
+fn has_positive_cycle(facts: &BlockFacts<'_>, ii: u32, pot: &mut IdVec<NodeId, i64>) -> bool {
+    pot.values_mut().for_each(|p| *p = 0);
+    for _ in 0..=facts.live.len() {
         let mut changed = false;
-        for e in edges {
-            let (Some(&f), Some(&t)) = (idx.get(&e.from), idx.get(&e.to)) else {
-                continue;
-            };
-            let nw = pot[f] + e.lat - e.dist * i64::from(ii);
-            if nw > pot[t] {
-                pot[t] = nw;
+        for e in &facts.edges {
+            let nw = pot[e.from] + e.lat - e.dist * i64::from(ii);
+            if nw > pot[e.to] {
+                pot[e.to] = nw;
                 changed = true;
             }
         }
@@ -189,40 +193,26 @@ fn has_positive_cycle(live: &[NodeId], edges: &[EdgeSpec], ii: u32) -> bool {
 /// attempt)` and the ops in its way — resource conflictors at that slot
 /// and placed successors whose constraints it now violates — are
 /// evicted and rescheduled. A fixed budget bounds the process.
-fn ims_schedule(
-    block: &Block,
-    machine: &CellMachine,
-    live: &[NodeId],
-    edges: &[EdgeSpec],
-    ii: u32,
-    baseline_len: u32,
-) -> Option<HashMap<NodeId, u32>> {
-    let order = topo_order(block, live)?;
+fn ims_schedule(facts: &BlockFacts<'_>, ii: u32, baseline_len: u32) -> Option<Times> {
+    let machine = facts.machine;
+    let order = topo_order(facts)?;
     let ii_i = i64::from(ii);
 
     // Height priority: longest same-iteration latency path to any sink.
-    let mut height: HashMap<NodeId, i64> = live.iter().map(|&n| (n, 0)).collect();
+    let mut height = facts.table(0i64);
     for &n in order.iter().rev() {
-        let mut h = 0i64;
-        for e in edges {
-            if e.from == n && e.dist == 0 {
-                if let Some(&hs) = height.get(&e.to) {
-                    h = h.max(hs + e.lat);
-                }
-            }
-        }
-        height.insert(n, h);
+        height[n] = facts
+            .edges_out(n)
+            .filter(|e| e.dist == 0)
+            .map(|e| height[e.to] + e.lat)
+            .max()
+            .unwrap_or(0);
     }
 
     let sched_nodes: Vec<NodeId> = order
         .iter()
         .copied()
-        .filter(|&n| {
-            !matches!(
-                block.nodes[n].kind,
-                NodeKind::ConstF(_) | NodeKind::ConstB(_)
-            )
-        })
+        .filter(|&n| facts.unit[n] != Unit::None)
         .collect();
     if sched_nodes.is_empty() {
         return None;
@@ -235,32 +225,31 @@ fn ims_schedule(
 
     // The modulo reservation table: one unit row per cycle of the II.
     let mut mrt = vec![UnitRow::default(); ii as usize];
-    let mut times: HashMap<NodeId, u32> = HashMap::new();
-    let mut prev_try: HashMap<NodeId, i64> = HashMap::new();
+    let mut times: Times = facts.table(None);
+    let mut prev_try = facts.table(-1i64);
 
-    let evict = |n: NodeId, times: &mut HashMap<NodeId, u32>, mrt: &mut Vec<UnitRow>| {
-        if let Some(t) = times.remove(&n) {
-            mrt[(t % ii) as usize].release(machine.unit_of(&block.nodes[n].kind), n);
+    let evict = |n: NodeId, times: &mut Times, mrt: &mut Vec<UnitRow>| {
+        if let Some(t) = times[n].take() {
+            mrt[(t % ii) as usize].release(facts.unit[n], n);
         }
     };
 
     // Highest unplaced op first; ties broken by DAG id for determinism.
     while let Some(&n) = sched_nodes
         .iter()
-        .filter(|n| !times.contains_key(n))
-        .max_by_key(|&&n| (height[&n], std::cmp::Reverse(n)))
+        .filter(|&&n| times[n].is_none())
+        .max_by_key(|&&n| (height[n], std::cmp::Reverse(n)))
     {
         if budget == 0 {
             return None;
         }
         budget -= 1;
 
-        let kind = &block.nodes[n].kind;
-        let unit = machine.unit_of(kind);
+        let unit = facts.unit[n];
         let mut estart: i64 = 0;
-        for e in edges {
-            if e.to == n && e.from != n {
-                if let Some(&tf) = times.get(&e.from) {
+        for e in facts.edges_in(n) {
+            if e.from != n {
+                if let Some(tf) = times[e.from] {
                     estart = estart.max(i64::from(tf) + e.lat - e.dist * ii_i);
                 }
             }
@@ -270,11 +259,11 @@ fn ims_schedule(
         let chosen =
             (estart..estart + ii_i).find(|t| mrt[(t % ii_i) as usize].is_free(unit, machine));
         let forced = chosen.is_none();
-        let t = chosen.unwrap_or_else(|| estart.max(prev_try.get(&n).copied().unwrap_or(-1) + 1));
+        let t = chosen.unwrap_or_else(|| estart.max(prev_try[n] + 1));
         if t > horizon {
             return None;
         }
-        prev_try.insert(n, t);
+        prev_try[n] = t;
 
         if forced {
             // Evict whatever holds this unit at the forced slot.
@@ -285,60 +274,34 @@ fn ims_schedule(
 
         // Place n at t.
         mrt[(t % ii_i) as usize].take(unit, n);
-        times.insert(n, u32::try_from(t).ok()?);
+        times[n] = Some(u32::try_from(t).ok()?);
 
         // Evict placed successors whose dependence constraints n's new
         // position violates.
-        let violated: Vec<NodeId> = edges
-            .iter()
-            .filter(|e| e.from == n && e.to != n)
-            .filter_map(|e| {
-                let &tt = times.get(&e.to)?;
-                (i64::from(tt) < t + e.lat - e.dist * ii_i).then_some(e.to)
-            })
-            .collect();
-        for m in violated {
-            evict(m, &mut times, &mut mrt);
+        for e in facts.edges_out(n) {
+            if e.to != n && times[e.to].is_some_and(|tt| i64::from(tt) < t + e.lat - e.dist * ii_i)
+            {
+                evict(e.to, &mut times, &mut mrt);
+            }
         }
     }
 
     // Final validation of every constraint.
-    check(block, machine, live, edges, &times, ii, true).ok()?;
+    check(facts, &times, ii, true).ok()?;
     Some(times)
 }
 
-/// Checks that `times` is a legal modulo schedule for `block` at
-/// initiation interval `ii`: every dependence edge (operand latencies,
-/// sequencing deps, loop-carried FIFO and memory order) holds, and no
-/// cycle of the steady state oversubscribes an FPU, the memory ports,
-/// or an I/O port.
-///
-/// # Errors
-///
-/// Returns a description of the first violated constraint.
-pub fn validate_modulo(
-    block: &Block,
-    machine: &CellMachine,
-    times: &HashMap<NodeId, u32>,
-    ii: u32,
-) -> Result<(), String> {
-    let live = block.live_nodes();
-    let edges = build_edges(block, machine, &live);
-    check(block, machine, &live, &edges, times, ii, true)
-}
-
 /// Intra-iteration topological order over inputs + deps.
-fn topo_order(block: &Block, live: &[NodeId]) -> Option<Vec<NodeId>> {
-    let (succs, mut indeg) = successors(block, live);
-    let mut ready: Vec<NodeId> = live.iter().copied().filter(|n| indeg[n] == 0).collect();
-    ready.sort_unstable();
+fn topo_order(facts: &BlockFacts<'_>) -> Option<Vec<NodeId>> {
+    let live = &facts.live;
+    let mut indeg = facts.preds.clone();
+    let mut ready: Vec<NodeId> = live.iter().copied().filter(|&n| indeg[n] == 0).collect();
     let mut out = Vec::with_capacity(live.len());
     while let Some(n) = ready.pop() {
         out.push(n);
-        for &s in succs.get(&n).into_iter().flatten() {
-            let d = indeg.get_mut(&s).expect("live");
-            *d -= 1;
-            if *d == 0 {
+        for s in facts.users(n) {
+            indeg[s] -= 1;
+            if indeg[s] == 0 {
                 ready.push(s);
             }
         }
@@ -348,8 +311,8 @@ fn topo_order(block: &Block, live: &[NodeId]) -> Option<Vec<NodeId>> {
 
 #[allow(clippy::too_many_arguments)]
 fn emit(
-    block: &Block,
-    times: &HashMap<NodeId, u32>,
+    facts: &BlockFacts<'_>,
+    times: &Times,
     ii: u32,
     stages: u32,
     count: u64,
@@ -357,9 +320,10 @@ fn emit(
     lo: i64,
     alloc: &Allocation,
 ) -> Option<PipelinedLoop> {
+    let block = facts.block;
     let prologue_len = (stages - 1) * ii;
     let kernel_count = count - u64::from(stages) + 1;
-    let max_t = times.values().copied().max().unwrap_or(0);
+    let max_t = times.values().flatten().copied().max().unwrap_or(0);
     // One iteration spans [0, max_t]; the last iteration (count−1)
     // finishes at (count−1)·II + max_t. The epilogue covers everything
     // after the last kernel execution.
@@ -370,11 +334,7 @@ fn emit(
     let mut epilogue = BlockBuilder::new(epilogue_len);
     let regs = &alloc.assignment;
 
-    let mut ordered: Vec<NodeId> = times.keys().copied().collect();
-    ordered.sort_unstable();
-
-    for &n in &ordered {
-        let t = times[&n];
+    for (n, t) in times.iter().filter_map(|(n, t)| Some((n, (*t)?))) {
         let stage = t / ii;
         // Prologue instances: iterations 0..stages−1 whose absolute time
         // falls before the steady state.
@@ -451,9 +411,22 @@ fn bake_ext(ext: &Option<HostSlot>, bake: &ExtBake, loop_id: LoopId) -> Option<H
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::CellMachine;
     use w2_lang::ast::{Chan, Dir};
     use w2_lang::hir::VarId;
-    use warp_ir::Node;
+    use warp_ir::{Block, Node};
+
+    /// [`try_pipeline`] on the default machine, for loop 0 starting at 0.
+    fn pipeline(b: &Block, count: u64, baseline_len: u32) -> Option<PipelinedLoop> {
+        let machine = CellMachine::default();
+        try_pipeline(
+            &BlockFacts::new(b, &machine),
+            count,
+            LoopId(0),
+            0,
+            baseline_len,
+        )
+    }
 
     fn node(b: &mut Block, kind: NodeKind, inputs: Vec<NodeId>, deps: Vec<NodeId>) -> NodeId {
         b.nodes.push(Node { kind, inputs, deps })
@@ -495,9 +468,8 @@ mod tests {
     #[test]
     fn pipelines_a_latency_bound_stream() {
         let b = stream_block();
-        let machine = CellMachine::default();
         // Baseline: recv(1) + mul(5) + add(5) + send ≈ 13 cycles.
-        let p = try_pipeline(&b, &machine, 32, LoopId(0), 0, 13).expect("pipelines");
+        let p = pipeline(&b, 32, 13).expect("pipelines");
         assert!(p.ii < 13, "II {} must beat the baseline", p.ii);
         assert!(p.stages >= 2);
         assert_eq!(p.kernel.len(), p.ii);
@@ -515,8 +487,7 @@ mod tests {
         // One op per unit class and no recurrence: IMS should reach
         // II = 1 (one result per cycle — the paper's throughput goal).
         let b = stream_block();
-        let machine = CellMachine::default();
-        let p = try_pipeline(&b, &machine, 64, LoopId(0), 0, 13).expect("pipelines");
+        let p = pipeline(&b, 64, 13).expect("pipelines");
         assert_eq!(p.ii, 1, "no recurrence and unit-disjoint ops: II=1");
     }
 
@@ -544,14 +515,14 @@ mod tests {
             vec![],
         );
         b.roots.push(st);
-        assert!(try_pipeline(&b, &CellMachine::default(), 32, LoopId(0), 0, 10).is_none());
+        assert!(pipeline(&b, 32, 10).is_none());
     }
 
     #[test]
     fn refuses_short_loops() {
         let b = stream_block();
         // Fewer iterations than stages: cannot fill the pipe.
-        assert!(try_pipeline(&b, &CellMachine::default(), 1, LoopId(0), 0, 13).is_none());
+        assert!(pipeline(&b, 1, 13).is_none());
     }
 
     /// load a; a' = a+1; store a — a serial accumulator whose
@@ -589,16 +560,13 @@ mod tests {
         // (lat 1) has Σlat = 7 over distance 1, so RecMII = 7.
         let b = accumulator_block();
         let machine = CellMachine::default();
-        let live = b.live_nodes();
-        let edges = build_edges(&b, &machine, &live);
-        assert_eq!(rec_mii(&live, &edges, 100), 7);
+        assert_eq!(rec_mii(&BlockFacts::new(&b, &machine), 100), 7);
     }
 
     #[test]
     fn cross_iteration_memory_edges_exist() {
         let b = accumulator_block();
-        let machine = CellMachine::default();
-        match try_pipeline(&b, &machine, 32, LoopId(0), 0, 8) {
+        match pipeline(&b, 32, 8) {
             None => {} // fine: no profitable II
             Some(p) => {
                 // If it pipelines, the recurrence constraint must hold:
@@ -613,21 +581,18 @@ mod tests {
     fn resource_mii_counts_ports() {
         let b = stream_block();
         let machine = CellMachine::default();
-        let live = b.live_nodes();
         // 1 recv on LX, 1 send on RX, 1 add, 1 mul: MII = 1.
-        assert_eq!(resource_mii(&b, &machine, &live), 1);
+        assert_eq!(resource_mii(&BlockFacts::new(&b, &machine)), 1);
     }
 
     #[test]
     fn schedules_validate_under_the_modulo_checker() {
         for block in [stream_block(), accumulator_block()] {
             let machine = CellMachine::default();
-            let live = block.live_nodes();
-            let edges = build_edges(&block, &machine, &live);
+            let facts = BlockFacts::new(&block, &machine);
             for ii in 1u32..16 {
-                if let Some(times) = ims_schedule(&block, &machine, &live, &edges, ii, 16) {
-                    validate_modulo(&block, &machine, &times, ii)
-                        .unwrap_or_else(|e| panic!("II {ii}: {e}"));
+                if let Some(times) = ims_schedule(&facts, ii, 16) {
+                    check(&facts, &times, ii, true).unwrap_or_else(|e| panic!("II {ii}: {e}"));
                 }
             }
         }
@@ -666,9 +631,8 @@ mod tests {
             vec![],
         );
         b.roots.push(s);
-        let machine = CellMachine::default();
         // Baseline ≈ 1 + 4·5 + 1 = 22 cycles.
-        let p = try_pipeline(&b, &machine, 64, LoopId(0), 0, 22).expect("pipelines");
+        let p = pipeline(&b, 64, 22).expect("pipelines");
         assert_eq!(p.ii, 4, "add FPU bound: II = number of adds");
     }
 
@@ -705,8 +669,7 @@ mod tests {
             vec![],
         );
         b.roots.push(s);
-        let machine = CellMachine::default();
-        if let Some(p) = try_pipeline(&b, &machine, 64, LoopId(0), 0, 32) {
+        if let Some(p) = pipeline(&b, 64, 32) {
             assert!(
                 p.regs_used <= 7,
                 "7 values with short lifetimes should share, used {}",
@@ -815,6 +778,42 @@ mod tests {
         b
     }
 
+    /// The scan [`rec_mii`] bisects: the first II without a positive
+    /// cycle, tried in order.
+    fn rec_mii_by_scan(facts: &BlockFacts<'_>, cap: u32) -> u32 {
+        let mut pot = facts.table(0i64);
+        (1..cap)
+            .find(|&ii| !has_positive_cycle(facts, ii, &mut pot))
+            .unwrap_or(cap)
+    }
+
+    #[test]
+    fn rec_mii_by_bisection_agrees_with_the_scan() {
+        let machine = CellMachine::default();
+        let mut rng = Rng(0x5EED_0FB1_5EC7_0001);
+        let mut bodies: Vec<Block> = (0..600).map(|_| random_block(&mut rng)).collect();
+        bodies.push(accumulator_block());
+        let mut bounded = 0u32;
+        for b in &bodies {
+            let facts = BlockFacts::new(b, &machine);
+            for cap in [1, 2, 8, 64] {
+                let want = rec_mii_by_scan(&facts, cap);
+                assert_eq!(rec_mii(&facts, cap), want, "cap {cap}\nblock: {b:?}");
+                bounded += u32::from(want > 1 && want < cap);
+            }
+        }
+        assert!(bounded > 100, "only {bounded} recurrence-bound answers");
+        // The accumulator needs II ≥ 7: under a cap of 7 or less every
+        // II tried is infeasible and the cap itself comes back.
+        let acc = accumulator_block();
+        let facts = BlockFacts::new(&acc, &machine);
+        for cap in [0, 1, 2, 6, 7] {
+            assert_eq!(rec_mii_by_scan(&facts, cap), cap);
+            assert_eq!(rec_mii(&facts, cap), cap);
+        }
+        assert_eq!(rec_mii(&facts, 8), 7);
+    }
+
     #[test]
     fn random_schedules_respect_latencies_deps_and_unit_limits() {
         // The property the modulo checker enforces slot by slot: every
@@ -827,15 +826,12 @@ mod tests {
         let mut scheduled = 0u32;
         for _ in 0..200 {
             let b = random_block(&mut rng);
-            let live = b.live_nodes();
-            let edges = build_edges(&b, &machine, &live);
-            let mii = resource_mii(&b, &machine, &live)
-                .max(rec_mii(&live, &edges, 64))
-                .max(1);
+            let facts = BlockFacts::new(&b, &machine);
+            let mii = resource_mii(&facts).max(rec_mii(&facts, 64)).max(1);
             for ii in mii..mii + 8 {
-                if let Some(times) = ims_schedule(&b, &machine, &live, &edges, ii, 48) {
+                if let Some(times) = ims_schedule(&facts, ii, 48) {
                     scheduled += 1;
-                    validate_modulo(&b, &machine, &times, ii)
+                    check(&facts, &times, ii, true)
                         .unwrap_or_else(|e| panic!("II {ii}: {e}\nblock: {b:?}"));
                 }
             }
@@ -851,7 +847,6 @@ mod tests {
         // End-to-end over the same generator: whenever try_pipeline
         // fires, the emitted prologue/kernel/epilogue must conserve
         // every iteration's I/O events and beat the baseline strictly.
-        let machine = CellMachine::default();
         let mut rng = Rng(0x0123_4567_89AB_CDEF);
         let mut pipelined = 0u32;
         for _ in 0..100 {
@@ -861,7 +856,7 @@ mod tests {
             // each op's full latency (what the list scheduler cannot
             // beat in the worst case).
             let baseline = 4 * b.live_nodes().len().max(1) as u32;
-            let Some(p) = try_pipeline(&b, &machine, count, LoopId(0), 0, baseline) else {
+            let Some(p) = pipeline(&b, count, baseline) else {
                 continue;
             };
             pipelined += 1;

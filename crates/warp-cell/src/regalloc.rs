@@ -8,20 +8,21 @@
 //! scratch word of cell memory and re-schedule (the real compiler
 //! allocates 32-word files per FPU; we model a unified file, see
 //! [`crate::machine`]). A modulo schedule folds the same lifetimes into
-//! cyclic arcs of the kernel ([`allocate_modulo`]).
+//! cyclic arcs of the kernel (`allocate_modulo`).
 
-use crate::machine::{CellMachine, Unit};
+use crate::machine::Unit;
 use crate::mcode::Reg;
-use crate::sched::BlockSchedule;
-use std::collections::{HashMap, HashSet};
-use warp_ir::{Block, NodeId, NodeKind};
+use crate::sched::{BlockFacts, BlockSchedule, Times};
+use warp_common::idvec::Id as _;
+use warp_common::IdVec;
+use warp_ir::{NodeId, NodeKind};
 
 /// A successful register assignment.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Allocation {
-    /// Register per value-producing node. Nodes without consumers and
-    /// literal constants are absent.
-    pub assignment: HashMap<NodeId, Reg>,
+    /// Register per value-producing node; `None` for nodes without
+    /// consumers, literal constants and dead nodes.
+    pub(crate) assignment: IdVec<NodeId, Option<Reg>>,
     /// Number of distinct registers used.
     pub regs_used: u32,
 }
@@ -37,69 +38,71 @@ pub struct SpillNeeded {
 }
 
 /// The register lifetime `(write, last_read, node)` of every value of
-/// `block` when node `n` issues at `time_of(n)`: the register is
+/// the block when node `n` issues at `time_of(n)`: the register is
 /// written at `t(def) + latency` (until then the value is in the unit's
 /// pipeline) and read for the last time when its latest consumer
 /// issues. Literals live in the instruction word, stores and sends
 /// produce nothing, and an unread result is discarded: none of them
 /// holds a register.
 fn value_lifetimes(
-    block: &Block,
-    machine: &CellMachine,
+    facts: &BlockFacts<'_>,
     time_of: impl Fn(NodeId) -> u32,
 ) -> Vec<(u32, u32, NodeId)> {
-    let live = block.live_nodes();
-    let mut last_read: HashMap<NodeId, u32> = HashMap::new();
-    for &n in &live {
+    let block = facts.block;
+    let mut last_read: Times = facts.table(None);
+    for &n in &facts.live {
         for &p in &block.nodes[n].inputs {
+            // Literals take no operands and (in a modulo schedule) have
+            // no issue cycle to ask for.
             let t = time_of(n);
-            let e = last_read.entry(p).or_insert(t);
-            *e = (*e).max(t);
+            last_read[p] = Some(last_read[p].map_or(t, |e| e.max(t)));
         }
     }
-    live.into_iter()
-        .filter_map(|n| {
-            let kind = &block.nodes[n].kind;
-            if machine.unit_of(kind) == Unit::None
-                || matches!(kind, NodeKind::Store { .. } | NodeKind::Send { .. })
+    facts
+        .live
+        .iter()
+        .filter_map(|&n| {
+            if facts.unit[n] == Unit::None
+                || matches!(
+                    block.nodes[n].kind,
+                    NodeKind::Store { .. } | NodeKind::Send { .. }
+                )
             {
                 return None;
             }
-            let write = time_of(n) + machine.latency_of(kind);
-            Some((write, *last_read.get(&n)?, n))
+            Some((time_of(n) + facts.lat[n], last_read[n]?, n))
         })
         .collect()
 }
 
-/// Runs linear scan over the value intervals of `block` under `sched`.
+/// Runs linear scan over the value intervals of the block under `sched`.
 ///
 /// # Errors
 ///
 /// Returns [`SpillNeeded`] when more than `registers` values are live at
 /// once.
 pub fn allocate(
-    block: &Block,
-    machine: &CellMachine,
+    facts: &BlockFacts<'_>,
     sched: &BlockSchedule,
     registers: u32,
 ) -> Result<Allocation, SpillNeeded> {
-    allocate_excluding(block, machine, sched, registers, &HashSet::new())
+    allocate_excluding(facts, sched, registers, &[])
 }
 
-/// Like [`allocate`], but never proposes a member of `no_spill` (values
-/// that were already spilled) as the next spill victim.
-pub fn allocate_excluding(
-    block: &Block,
-    machine: &CellMachine,
+/// Like [`allocate`], but never proposes a node flagged in `no_spill`
+/// (indexed by node; values that were already spilled) as the next
+/// spill victim.
+pub(crate) fn allocate_excluding(
+    facts: &BlockFacts<'_>,
     sched: &BlockSchedule,
     registers: u32,
-    no_spill: &HashSet<NodeId>,
+    no_spill: &[bool],
 ) -> Result<Allocation, SpillNeeded> {
-    let mut intervals = value_lifetimes(block, machine, |n| sched.time[&n]);
+    let mut intervals = value_lifetimes(facts, |n| sched.at(n));
     intervals.sort_unstable();
     let mut free: Vec<Reg> = (0..registers as u16).rev().map(Reg).collect();
     let mut active: Vec<(u32, Reg, NodeId)> = Vec::new(); // (end, reg, node)
-    let mut assignment = HashMap::new();
+    let mut assignment = facts.table(None);
     let mut used = 0u32;
 
     for (def, end, n) in intervals {
@@ -124,9 +127,9 @@ pub fn allocate_excluding(
                 .copied()
                 .chain(std::iter::once((end, Reg(u16::MAX), n)))
                 .filter(|&(_, _, node)| {
-                    !no_spill.contains(&node)
+                    !no_spill.get(node.index()).copied().unwrap_or(false)
                         && !matches!(
-                            block.nodes[node].kind,
+                            facts.block.nodes[node].kind,
                             NodeKind::Load {
                                 var: crate::codegen::SCRATCH_VAR,
                                 ..
@@ -138,7 +141,7 @@ pub fn allocate_excluding(
             return Err(SpillNeeded { victim });
         };
         used = used.max(u32::from(reg.0) + 1);
-        assignment.insert(n, reg);
+        assignment[n] = Some(reg);
         active.push((end, reg, n));
     }
 
@@ -162,13 +165,12 @@ pub fn allocate_excluding(
 /// a lifetime outlasts the II or more than `machine.registers` are
 /// needed (the caller then tries a larger II or falls back to the list
 /// schedule).
-pub fn allocate_modulo(
-    block: &Block,
-    machine: &CellMachine,
-    times: &HashMap<NodeId, u32>,
+pub(crate) fn allocate_modulo(
+    facts: &BlockFacts<'_>,
+    times: &Times,
     ii: u32,
 ) -> Option<Allocation> {
-    let mut arcs = value_lifetimes(block, machine, |n| times[&n]);
+    let mut arcs = value_lifetimes(facts, |n| times[n].expect("every live op is placed"));
     arcs.sort_unstable();
 
     // First-fit: a register is a set of pairwise-disjoint arcs
@@ -180,7 +182,7 @@ pub fn allocate_modulo(
         in_arc(s1, l1, s2) || in_arc(s2, l2, s1)
     };
     let mut reg_arcs: Vec<Vec<(u32, u32)>> = Vec::new();
-    let mut assignment = HashMap::new();
+    let mut assignment = facts.table(None);
     for (write, last_read, n) in arcs {
         let arc = (write % ii, last_read - write + 1);
         if arc.1 > ii {
@@ -193,11 +195,11 @@ pub fn allocate_modulo(
                 reg_arcs.push(Vec::new());
                 reg_arcs.len() - 1
             });
-        if reg >= machine.registers as usize {
+        if reg >= facts.machine.registers as usize {
             return None;
         }
         reg_arcs[reg].push(arc);
-        assignment.insert(n, Reg(reg as u16));
+        assignment[n] = Some(Reg(reg as u16));
     }
     Some(Allocation {
         regs_used: reg_arcs.len() as u32,
@@ -211,7 +213,16 @@ mod tests {
     use crate::machine::CellMachine;
     use crate::sched::schedule;
     use w2_lang::hir::VarId;
-    use warp_ir::{Affine, Node};
+    use warp_ir::{Affine, Block, Node};
+
+    /// A modulo schedule placing exactly the listed ops.
+    fn times_of(facts: &BlockFacts<'_>, placed: &[(NodeId, u32)]) -> Times {
+        let mut times = facts.table(None);
+        for &(n, t) in placed {
+            times[n] = Some(t);
+        }
+        times
+    }
 
     fn build_chain(n_loads: usize) -> Block {
         // n loads all summed pairwise at the end: all live simultaneously.
@@ -252,15 +263,15 @@ mod tests {
     fn small_block_allocates() {
         let m = CellMachine::default();
         let b = build_chain(4);
-        let s = schedule(&b, &m);
-        let a = allocate(&b, &m, &s, 64).expect("fits");
+        let facts = BlockFacts::new(&b, &m);
+        let a = allocate(&facts, &schedule(&facts), 64).expect("fits");
         assert!(a.regs_used >= 2);
         assert!(a.regs_used <= 8);
         // Every add input that is not a literal has a register.
         for (_, node) in b.nodes.iter() {
             if matches!(node.kind, NodeKind::FAdd) {
                 for &i in &node.inputs {
-                    assert!(a.assignment.contains_key(&i));
+                    assert!(a.assignment[i].is_some());
                 }
             }
         }
@@ -270,10 +281,10 @@ mod tests {
     fn exhaustion_reports_spill() {
         let m = CellMachine::default();
         let b = build_chain(8);
-        let s = schedule(&b, &m);
+        let facts = BlockFacts::new(&b, &m);
         // A float add reads two register operands at issue, so a single
         // register can never satisfy the chain.
-        let err = allocate(&b, &m, &s, 1).expect_err("cannot fit");
+        let err = allocate(&facts, &schedule(&facts), 1).expect_err("cannot fit");
         // Victim is a live node of the block.
         assert!(b.live_nodes().contains(&err.victim.expect("spillable")));
     }
@@ -318,8 +329,8 @@ mod tests {
         });
         b.roots.push(s1);
         b.roots.push(s2);
-        let s = schedule(&b, &m);
-        let a = allocate(&b, &m, &s, 64).expect("fits");
+        let facts = BlockFacts::new(&b, &m);
+        let a = allocate(&facts, &schedule(&facts), 64).expect("fits");
         assert_eq!(a.regs_used, 1, "sequential values share one register");
     }
 
@@ -363,18 +374,19 @@ mod tests {
         });
         b.roots.push(r);
         b.roots.push(s);
-        let times: HashMap<NodeId, u32> = [(r, 0), (a, 2), (s, 8)].into_iter().collect();
-        let alloc = allocate_modulo(&b, &m, &times, 4).expect("fits");
+        let facts = BlockFacts::new(&b, &m);
+        let times = times_of(&facts, &[(r, 0), (a, 2), (s, 8)]);
+        let alloc = allocate_modulo(&facts, &times, 4).expect("fits");
         assert_eq!(alloc.regs_used, 1, "disjoint cyclic arcs share");
 
-        let times: HashMap<NodeId, u32> = [(r, 0), (a, 2), (s, 9)].into_iter().collect();
-        let alloc = allocate_modulo(&b, &m, &times, 4).expect("fits");
+        let times = times_of(&facts, &[(r, 0), (a, 2), (s, 9)]);
+        let alloc = allocate_modulo(&facts, &times, 4).expect("fits");
         assert_eq!(alloc.regs_used, 2, "overlapping arcs get distinct regs");
 
         // With the send at 11 the add's value, written at 7, would still
         // be unread when the next iteration overwrites it at 11.
-        let times: HashMap<NodeId, u32> = [(r, 0), (a, 2), (s, 11)].into_iter().collect();
-        assert!(allocate_modulo(&b, &m, &times, 4).is_none());
+        let times = times_of(&facts, &[(r, 0), (a, 2), (s, 11)]);
+        assert!(allocate_modulo(&facts, &times, 4).is_none());
     }
 
     #[test]
@@ -415,8 +427,9 @@ mod tests {
             deps: vec![],
         });
         b.roots.push(st);
-        let times: HashMap<NodeId, u32> = [(l1, 0), (l2, 0), (a, 1), (st, 7)].into_iter().collect();
-        assert!(allocate_modulo(&b, &m, &times, 2).is_none());
+        let facts = BlockFacts::new(&b, &m);
+        let times = times_of(&facts, &[(l1, 0), (l2, 0), (a, 1), (st, 7)]);
+        assert!(allocate_modulo(&facts, &times, 2).is_none());
     }
 
     #[test]
@@ -434,9 +447,9 @@ mod tests {
             deps: vec![],
         });
         b.roots.push(r);
-        let s = schedule(&b, &m);
-        let a = allocate(&b, &m, &s, 64).expect("fits");
-        assert!(a.assignment.is_empty());
+        let facts = BlockFacts::new(&b, &m);
+        let a = allocate(&facts, &schedule(&facts), 64).expect("fits");
+        assert!(a.assignment.values().all(Option::is_none));
         assert_eq!(a.regs_used, 0);
     }
 }

@@ -551,8 +551,9 @@ fn scheduler_always_legal() {
     for_each_case(24, |rng| {
         let (b, _) = build_dag(&dag(rng));
         let m = CellMachine::default();
-        let s = warp::cell::schedule(&b, &m);
-        assert_eq!(warp::cell::validate(&b, &m, &s), Ok(()));
+        let facts = warp::cell::BlockFacts::new(&b, &m);
+        let s = warp::cell::schedule(&facts);
+        assert_eq!(warp::cell::validate(&facts, &s), Ok(()));
     });
 }
 
@@ -570,8 +571,9 @@ fn check_height_reduction(recipe: &DagRecipe, raw_inputs: &[i8]) {
     assert_eq!(before, eval_dag(&b, &loads, &inputs), "{recipe:?}");
     assert!(warp_ir::rewrite::critical_path(&b, latency) <= cp_before);
     // The rewritten DAG still schedules legally.
-    let s = warp::cell::schedule(&b, &m);
-    assert_eq!(warp::cell::validate(&b, &m, &s), Ok(()));
+    let facts = warp::cell::BlockFacts::new(&b, &m);
+    let s = warp::cell::schedule(&facts);
+    assert_eq!(warp::cell::validate(&facts, &s), Ok(()));
 }
 
 #[test]
@@ -594,8 +596,9 @@ fn allocation_respects_budget() {
         let (b, _) = build_dag(&dag(rng));
         let regs = int_in(rng, 2, 64);
         let m = CellMachine::default();
-        let s = warp::cell::schedule(&b, &m);
-        match warp::cell::allocate(&b, &m, &s, regs) {
+        let facts = warp::cell::BlockFacts::new(&b, &m);
+        let s = warp::cell::schedule(&facts);
+        match warp::cell::allocate(&facts, &s, regs) {
             Ok(a) => assert!(a.regs_used <= regs),
             Err(spill) => assert!(spill.victim.is_some() || regs < 4),
         }
