@@ -3,7 +3,7 @@
 //! The resilient service layer (`warp-service`) enforces per-job
 //! wall-clock deadlines and cancellation across the whole pipeline:
 //! the [`Session`](../warp_compiler) polls a [`CancelToken`] at pass
-//! boundaries, the skew search polls it inside its enumeration loop,
+//! boundaries, the skew analysis polls it every few thousand steps,
 //! and the simulator polls it in its cycle loop. All time flows
 //! through the [`Clock`] trait so the entire layer is testable with a
 //! [`ManualClock`] — no real sleeps, no wall-clock flakiness.

@@ -64,7 +64,7 @@ pub struct FuzzOptions {
     /// Ceiling on the input size ([`SessionCtrl::max_source_bytes`]);
     /// 0 = unlimited.
     pub max_source_bytes: u64,
-    /// Ceiling on skew-analysis event enumeration
+    /// Ceiling on the dynamic I/O events the skew analysis accepts
     /// ([`SessionCtrl::skew_max_events`]); 0 = unlimited.
     pub skew_max_events: u64,
     /// Modulo-schedule innermost loops ([`SessionCtrl::pipeline`]).

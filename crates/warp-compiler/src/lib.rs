@@ -125,8 +125,8 @@ impl std::str::FromStr for ExecBackend {
 
 /// Resource-control knobs for one compilation, injected by the service
 /// layer: cooperative cancellation polled at every pass boundary (and
-/// inside the skew enumeration), a budget slice for the exact skew
-/// engine, an IR-size ceiling checked between passes, and pipeline
+/// inside the skew engine), an event budget for the exact skew
+/// analysis, an IR-size ceiling checked between passes, and pipeline
 /// policy toggles. The default is fully inert — un-budgeted compiles
 /// behave exactly as before.
 #[derive(Clone, Debug, PartialEq)]
@@ -134,9 +134,9 @@ pub struct SessionCtrl {
     /// Cancellation handle; checked before every pass and threaded into
     /// the skew analysis.
     pub cancel: CancelToken,
-    /// Budget on dynamic I/O events for the skew pass's exact
-    /// enumeration (`0` = unlimited). Exceeding it degrades the skew
-    /// report to conservative closed-form bounds
+    /// Budget on the program's dynamic I/O events, checked by the skew
+    /// pass before its exact analysis (`0` = unlimited). Exceeding it
+    /// degrades the skew report to conservative closed-form bounds
     /// ([`warp_skew::SkewReport::degraded`]).
     pub skew_max_events: u64,
     /// Ceiling on the dynamic length of the generated cell program in

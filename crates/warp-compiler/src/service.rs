@@ -5,7 +5,7 @@
 //! a named [`WorkerPool`] job whose [`SessionCtrl`] carries the job's
 //! cancellation token and the service's budget knobs, so a deadline or
 //! cancellation reaches every cooperative poll point in the pipeline —
-//! pass boundaries, the skew enumeration, the simulator cycle loop —
+//! pass boundaries, the skew engine, the simulator cycle loop —
 //! and comes back as a structured [`CompileFailure`] instead of a hang.
 //!
 //! There is one engine and two ways to hold it. A batch
@@ -56,7 +56,7 @@ pub fn classify_failure(failure: &CompileFailure) -> FailureKind {
 pub struct ServiceConfig {
     /// Queue, deadline, retry, and breaker parameters.
     pub exec: ExecutorConfig,
-    /// Event budget for the exact skew enumeration (`0` = unlimited);
+    /// Event budget for the exact skew analysis (`0` = unlimited);
     /// see [`SessionCtrl::skew_max_events`].
     pub skew_max_events: u64,
     /// Cell-program size ceiling in cycles (`0` = unlimited); see

@@ -122,8 +122,8 @@ impl<'obs> Session<'obs> {
     /// notifies the observer, times the body, and hands the elapsed
     /// time and the artifact to the observer. A pass
     /// that rejects the program while the cancel token is tripped was
-    /// interrupted (e.g. the skew enumeration observing the token
-    /// mid-pass), not rejected. Timing-arithmetic overflow is its own
+    /// interrupted (e.g. the skew engine observing the token mid-pass),
+    /// not rejected. Timing-arithmetic overflow is its own
     /// failure class: the program may be well-formed, but its schedule
     /// cannot be represented.
     fn pass<T: Artifact, E: Into<PassError>>(
@@ -171,8 +171,8 @@ impl<'obs> Session<'obs> {
     /// diagnostics.
     ///
     /// The cancel token is checked before every pass; the skew pass
-    /// additionally polls it inside its enumeration loop and degrades
-    /// to closed-form bounds when its event budget runs out; the cell
+    /// additionally polls it inside its engine and degrades to
+    /// closed-form bounds when the program exceeds its event budget; the cell
     /// program's dynamic length is checked against
     /// [`SessionCtrl::max_cell_cycles`] right after cell code
     /// generation.
@@ -259,8 +259,8 @@ impl<'obs> Session<'obs> {
         })?;
 
         // The IR-size/memory ceiling: the dynamic cell-program length
-        // bounds both the simulation cost and the timeline-enumeration
-        // cost downstream, so an oversized loop nest is rejected here —
+        // bounds the simulation cost and the skew engine's worst case
+        // downstream, so an oversized loop nest is rejected here —
         // before the expensive analyses — with a structured failure.
         if self.ctrl.max_cell_cycles > 0 {
             let cycles = cell_code.dynamic_len();

@@ -8,11 +8,11 @@
 //! The deterministic-time trick: a [`ManualClock`] with auto-advance
 //! charges one tick per deadline poll, so "wall time" is the number of
 //! cooperative cancellation checks a job performs. The Table 7-1 corpus
-//! polls a handful of times per compile (eight pass boundaries plus a
-//! few skew-enumeration polls — their timelines are under 10k events),
-//! while the runaway program below enumerates millions of events and
-//! polls hundreds of times. A deadline between the two kills only the
-//! runaway, deterministically.
+//! polls a handful of times per compile (the pass boundaries; its skew
+//! analyses finish in far fewer than the 4096 engine steps between two
+//! polls), while the runaway program below makes the skew engine step
+//! through a million events one by one and poll hundreds of times. A
+//! deadline between the two kills only the runaway, deterministically.
 
 use std::sync::Arc;
 use warp_common::{CancelReason, CancelToken, ManualClock};
@@ -26,14 +26,21 @@ use warp_compiler::{
 };
 use warp_service::{Admission, ExecutorConfig, FailureKind, JobOutcome, ShutdownMode};
 
-/// A structurally valid two-cell program whose skew analysis must
-/// enumerate two million I/O events — far beyond any deadline a test
-/// arms, and far beyond the Table 7-1 corpus (whose timelines stay
-/// under 10k events). It must be multi-cell: a single-cell array has
-/// no interior queues and the skew pass skips the enumeration.
+/// A structurally valid two-cell program whose skew analysis has to
+/// step through a million sends — far beyond any deadline a test arms.
+/// Trip counts alone would not do it: the skew engine jumps over a loop
+/// whose sends and receives advance in lockstep, however long. Here the
+/// receiving loop takes two words per iteration and the sending loop
+/// gives one, so no iteration of one is a shifted copy of an iteration
+/// of the other and every event is paired by hand. It must be
+/// multi-cell: a single-cell array has no interior queues and the skew
+/// pass has nothing to pair.
 const RUNAWAY: &str = "module runaway (xs in, ys out) float xs[1000000]; float ys[1000000]; \
-    cellprogram (cid : 0 : 1) begin function f begin float v; int i; \
-    for i := 0 to 999999 do begin receive (L, X, v, xs[i]); send (R, X, v * 2.0, ys[i]); end; \
+    cellprogram (cid : 0 : 1) begin function f begin float a, b, s; int i; \
+    s := 0.0; \
+    for i := 0 to 499999 do begin \
+      receive (L, X, a, xs[2 * i]); receive (L, X, b, xs[2 * i + 1]); s := s + a * b; end; \
+    for i := 0 to 999999 do begin send (R, X, s, ys[i]); end; \
     end call f; end";
 
 /// One tick per clock read: a job's budget is its poll count.
@@ -90,7 +97,7 @@ fn batch_of_one(name: &str, source: &str, config: &ServiceConfig) -> BatchReport
 #[test]
 fn runaway_job_is_killed_by_its_budget_while_the_corpus_completes() {
     // 200 polls of budget: corpus programs use ~a dozen each, the
-    // runaway needs hundreds before its skew enumeration would finish.
+    // runaway needs hundreds before its skew analysis would finish.
     let d = daemon(ExecutorConfig {
         queue_capacity: 16,
         deadline_ticks: 200,
@@ -133,8 +140,8 @@ fn runaway_job_is_killed_by_its_budget_while_the_corpus_completes() {
     assert!(summary.contains("timeout"), "{summary}");
 }
 
-/// A deadline that expires mid-pass (inside the skew enumeration, not
-/// at a pass boundary) comes back as a structured
+/// A deadline that expires mid-pass (inside the skew engine, not at a
+/// pass boundary) comes back as a structured
 /// [`CompileFailure::Interrupted`] naming the pass — not a hang, not a
 /// generic diagnostic.
 #[test]
@@ -147,11 +154,14 @@ fn deadline_exceeded_mid_pass_is_a_structured_timeout() {
             ..SessionCtrl::default()
         })
         .try_compile(RUNAWAY)
-        .expect_err("a 50-poll budget cannot cover a 2M-event enumeration");
+        .expect_err("a 50-poll budget cannot cover a million engine steps");
     let CompileFailure::Interrupted { pass, reason } = failure else {
         panic!("expected Interrupted, got {failure}");
     };
-    assert_eq!(pass, "skew", "the enumeration is where the time goes");
+    assert_eq!(
+        pass, "skew",
+        "the event-by-event pairing is where the time goes"
+    );
     assert!(
         matches!(reason, CancelReason::DeadlineExceeded { deadline: 50, .. }),
         "{reason}"

@@ -183,7 +183,7 @@ impl<T> JobSuccess<T> {
 
 /// Execution context handed to each job attempt. Jobs must poll
 /// [`JobCtx::cancel`] from their long-running loops (the Warp pipeline
-/// does so at pass boundaries, in the skew enumeration, and in the
+/// does so at pass boundaries, in the skew engine, and in the
 /// simulator cycle loop).
 #[derive(Clone, Debug)]
 pub struct JobCtx {

@@ -6,11 +6,14 @@
 //! underflows (§6.2.1), and must bound queue occupancy against the
 //! 128-word hardware queues (§6.2.2). This crate implements both:
 //!
-//! * [`timeline`] — exact enumeration of every dynamic I/O operation;
+//! * [`nest`] — the analysis: exact skew and occupancy from each lane's
+//!   loop nest, at a cost that follows the program text;
 //! * [`vectors`] — the paper's five-vector timing functions `τ(n)` and
 //!   the closed-form rational skew bound;
 //! * [`skew`] — the analysis driver ([`analyze`]) plus the SIMD-model
 //!   latency comparison of Figure 3-1;
+//! * [`timeline`] — enumeration of every dynamic I/O operation, the
+//!   oracle the other three are tested against;
 //! * [`paper`] — the worked example programs of §6.2.1 (Figures 6-2 and
 //!   6-4), used by tests and benchmarks.
 //!
@@ -28,13 +31,15 @@
 //! # Ok::<(), warp_skew::SkewError>(())
 //! ```
 
+pub mod nest;
 pub mod paper;
 pub mod skew;
 pub mod timeline;
 pub mod vectors;
 
+pub use nest::{Meter, Nests};
 pub use skew::{analyze, ModelComparison, SkewError, SkewMethod, SkewOptions, SkewReport};
-pub use timeline::{try_visit_events, visit_events, EnumStop, HostBinding, TimedIo, Timeline};
+pub use timeline::{visit_events, HostBinding, TimedIo, Timeline};
 pub use vectors::{
     bound_pair, extract, min_skew_bound, occupancy_bound, IoStatement, Level, TimingFunction,
     TimingOverflow,

@@ -3,13 +3,14 @@
 //! Given compiled cell code, this module determines:
 //!
 //! * the **flow direction** of the (unidirectional) program,
-//! * the **minimum skew** between adjacent cells — exactly (by timeline
-//!   enumeration) or analytically (closed-form bounds, §6.2.1),
+//! * the **minimum skew** between adjacent cells — exactly (by the
+//!   loop-nest engine of [`crate::nest`]) or analytically (closed-form
+//!   bounds, §6.2.1),
 //! * the **queue occupancy bound** per channel at that skew, rejecting
 //!   programs that overflow the 128-word queues (§6.2.2),
 //! * the matching of send and receive counts per channel.
 
-use crate::timeline::{EnumStop, Timeline};
+use crate::nest::{Meter, Nests};
 use crate::vectors::{extract, min_skew_bound, occupancy_bound, TimingOverflow};
 use std::collections::BTreeMap;
 use w2_lang::ast::{Chan, Dir};
@@ -73,8 +74,9 @@ impl SkewError {
 /// How to compute the minimum skew.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SkewMethod {
-    /// Enumerate every I/O operation (exact; linear in the dynamic
-    /// operation count).
+    /// Pair every send with its receive over the loop nest (exact; cost
+    /// follows the program text where the send and receive nests are
+    /// similar, the dynamic operation count where they are not).
     #[default]
     Exact,
     /// The paper's closed-form bound over statement pairs (sound, may
@@ -93,13 +95,14 @@ pub struct SkewOptions {
     /// match per channel only when the array has interior queues
     /// (`n_cells > 1`).
     pub n_cells: u32,
-    /// Cancellation handle polled inside the exact enumeration; the
-    /// inert default never fires.
+    /// Cancellation handle polled every 4096 steps of the exact engine;
+    /// the inert default never fires.
     pub cancel: CancelToken,
-    /// Budget on dynamic I/O events for the exact enumeration engine
-    /// (`0` = unlimited). When the budget runs out the analysis degrades
-    /// gracefully to the closed-form skew and occupancy bounds and marks
-    /// the report [`SkewReport::degraded`].
+    /// Budget on the program's dynamic I/O events (`0` = unlimited),
+    /// compared with their static total before the exact engine runs.
+    /// Over budget, the analysis degrades gracefully to the closed-form
+    /// skew and occupancy bounds and marks the report
+    /// [`SkewReport::degraded`].
     pub max_events: u64,
 }
 
@@ -128,7 +131,7 @@ pub struct SkewReport {
     pub words_per_channel: BTreeMap<Chan, u64>,
     /// Program span of one cell in cycles.
     pub span: u64,
-    /// `true` when the exact enumeration exceeded its budget and the
+    /// `true` when the program exceeded the event budget and the
     /// skew/occupancy figures are the conservative closed-form bounds —
     /// sound (the program still runs correctly at this skew) but not
     /// tight.
@@ -181,11 +184,10 @@ impl warp_common::Artifact for SkewReport {
 /// Analyzes `code` and computes the skew report.
 ///
 /// The flow direction and send/receive counts come from the *static*
-/// timing functions (cheap — no enumeration), so they are available even
-/// when the exact engine's event budget ([`SkewOptions::max_events`])
-/// runs out. In that case the analysis degrades gracefully: the
-/// closed-form skew bound and the conservative occupancy bound stand in
-/// for the exact figures and the report is marked
+/// timing functions, and so does the check of the event budget
+/// ([`SkewOptions::max_events`]). A program over budget degrades
+/// gracefully: the closed-form skew bound and the conservative occupancy
+/// bound stand in for the exact figures and the report is marked
 /// [`SkewReport::degraded`].
 ///
 /// # Errors
@@ -194,11 +196,14 @@ impl warp_common::Artifact for SkewReport {
 /// (queues would drift), when the program is not unidirectional, when
 /// the queue bound exceeds the capacity (paper §6.2.2 — overflow is
 /// "detected and reported"), or when [`SkewOptions::cancel`] trips
-/// mid-analysis. Returns [`SkewError::Overflow`] when the exact
-/// rational timing arithmetic leaves `i128` range.
+/// mid-analysis. Returns [`SkewError::Overflow`] when the timing
+/// arithmetic leaves its range.
+///
+/// `loops` is not read: the nest engine needs trip counts, which the
+/// code regions carry, not index values.
 pub fn analyze(
     code: &CellCode,
-    loops: &IdVec<LoopId, LoopMeta>,
+    _loops: &IdVec<LoopId, LoopMeta>,
     opts: &SkewOptions,
 ) -> Result<SkewReport, SkewError> {
     let mut diags = DiagnosticBag::new();
@@ -224,6 +229,7 @@ pub fn analyze(
     // Send/receive counts must match per channel: all cells run the same
     // program, so any imbalance drifts the queues without bound.
     let mut words = BTreeMap::new();
+    let mut events = 0u64;
     for chan in [Chan::X, Chan::Y] {
         let count = |is_recv: bool, dir: Dir| -> Result<u64, TimingOverflow> {
             let mut total = 0i128;
@@ -252,6 +258,13 @@ pub fn analyze(
         if n_out > 0 {
             words.insert(chan, n_out);
         }
+        // Unidirectional: these two lanes are all the channel's events.
+        events = n_out
+            .checked_add(n_in)
+            .and_then(|n| events.checked_add(n))
+            .ok_or(TimingOverflow {
+                context: "dynamic event count",
+            })?;
     }
     if diags.has_errors() {
         return Err(diags.into());
@@ -273,29 +286,21 @@ pub fn analyze(
         });
     }
 
-    // Exact enumeration, under the event budget and cancel token. Even
-    // the Analytic skew method needs the timeline for the exact
-    // occupancy figures, so degradation applies to both methods.
-    let (min_skew, queue_occupancy, degraded) =
-        match Timeline::build_budgeted(code, loops, &opts.cancel, opts.max_events) {
-            Ok(tl) => {
-                let min_skew = match opts.method {
-                    SkewMethod::Exact => tl.min_skew(flow),
-                    SkewMethod::Analytic => min_skew_bound(&stmts, flow)?,
-                };
-                (min_skew, tl.max_queue_occupancy(flow, min_skew), false)
-            }
-            Err(EnumStop::Cancelled(reason)) => {
-                diags.push(Diagnostic::error_global(format!(
-                    "skew analysis interrupted: {reason}"
-                )));
-                return Err(diags.into());
-            }
-            Err(EnumStop::Budget) => {
-                let min_skew = min_skew_bound(&stmts, flow)?;
-                (min_skew, occupancy_bound(&stmts, flow, min_skew)?, true)
-            }
+    // Even the Analytic skew method takes its occupancy from the exact
+    // engine, so the budget applies to both methods.
+    let degraded = opts.max_events != 0 && events > opts.max_events;
+    let (min_skew, queue_occupancy) = if degraded {
+        let min_skew = min_skew_bound(&stmts, flow)?;
+        (min_skew, occupancy_bound(&stmts, flow, min_skew)?)
+    } else {
+        let nests = Nests::build(code, flow)?;
+        let mut meter = Meter::new(opts.cancel.clone());
+        let min_skew = match opts.method {
+            SkewMethod::Exact => nests.min_skew(&mut meter)?,
+            SkewMethod::Analytic => min_skew_bound(&stmts, flow)?,
         };
+        (min_skew, nests.max_queue_occupancy(min_skew, &mut meter)?)
+    };
 
     for (chan, &occ) in &queue_occupancy {
         if occ > opts.queue_capacity {
@@ -336,12 +341,20 @@ pub struct ModelComparison {
 }
 
 impl ModelComparison {
-    /// Computes the comparison for a single-stage program.
-    pub fn of(code: &CellCode, loops: &IdVec<LoopId, LoopMeta>, flow: Dir) -> ModelComparison {
-        let tl = Timeline::build(code, loops);
+    /// Computes the comparison for a single-stage program (`loops`, as
+    /// in [`analyze`], is not read).
+    ///
+    /// # Panics
+    ///
+    /// When the stage's span leaves `u64`.
+    pub fn of(code: &CellCode, _loops: &IdVec<LoopId, LoopMeta>, flow: Dir) -> ModelComparison {
+        let nests = Nests::build(code, flow).expect("a stage's cycles fit u64");
+        let skewed_latency = nests
+            .min_skew(&mut Meter::new(CancelToken::none()))
+            .expect("the token is inert and the cycles fit");
         ModelComparison {
-            skewed_latency: tl.min_skew(flow),
-            simd_latency: tl.span,
+            skewed_latency,
+            simd_latency: nests.span,
         }
     }
 
@@ -531,27 +544,72 @@ mod tests {
         assert!(degraded.to_string().contains("degraded"));
     }
 
+    /// `first` iterations receiving `recvs_per_iter` words each, then
+    /// `second` iterations sending one.
+    fn recv_then_send(first: u64, recvs_per_iter: u32, second: u64) -> warp_cell::CellCode {
+        let recvs = (0..recvs_per_iter).map(|c| (c, Dir::Left, Chan::X, true));
+        warp_cell::CellCode {
+            name: "recv-then-send".into(),
+            pipelined: vec![],
+            regions: vec![
+                CodeRegion::Loop {
+                    id: warp_ir::LoopId(0),
+                    count: first,
+                    body: vec![block(recvs_per_iter as usize, recvs.collect())],
+                },
+                CodeRegion::Loop {
+                    id: warp_ir::LoopId(1),
+                    count: second,
+                    body: vec![block(1, vec![(0, Dir::Right, Chan::X, false)])],
+                },
+            ],
+            regs_used: 0,
+            scratch_words: 0,
+        }
+    }
+
+    #[test]
+    fn event_budget_is_checked_against_the_static_total() {
+        // Figure 6-4 has 10 receives and 10 sends.
+        let with_budget = |max_events| {
+            let opts = SkewOptions {
+                max_events,
+                ..SkewOptions::default()
+            };
+            analyze(&fig_6_4_code(), &paper_loops(), &opts).unwrap()
+        };
+        let exact = with_budget(20);
+        assert!(!exact.degraded);
+        assert_eq!(exact.min_skew, 18);
+        assert!(with_budget(19).degraded);
+    }
+
     #[test]
     fn cancelled_analysis_reports_interruption() {
         use std::sync::Arc;
         use warp_common::{CancelToken, ManualClock};
         let token = CancelToken::new(Arc::new(ManualClock::new(0)));
         token.cancel();
-        // The poll interval is ~4k events; loop the figure enough times
-        // that the token is observed. Easier: the budgeted builder polls
-        // on multiples of 4096, so use a deadline token that is already
-        // expired and a large enough synthetic program. For the small
-        // paper figure the poll never fires, so the run completes — the
-        // cancellation contract is "observed within one poll interval".
-        let r = analyze(
-            &fig_6_2_code(),
-            &paper_loops(),
-            &SkewOptions {
-                cancel: token,
-                ..SkewOptions::default()
-            },
+        let opts = SkewOptions {
+            cancel: token,
+            ..SkewOptions::default()
+        };
+        // Dissimilar nests (two words per iteration in, one out) are
+        // stepped event by event: 6000 steps pass a poll.
+        let err = analyze(&recv_then_send(3000, 2, 6000), &paper_loops(), &opts).unwrap_err();
+        assert!(
+            err.to_string().contains("skew analysis interrupted"),
+            "{err}"
         );
-        assert!(r.is_ok(), "small programs finish within one poll interval");
+        // Similar nests are jumped over: a million trips finish before
+        // the first poll, so the same token is never looked at.
+        let r = analyze(
+            &recv_then_send(1_000_000, 1, 1_000_000),
+            &paper_loops(),
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(r.words_per_channel[&Chan::X], 1_000_000);
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Exact I/O timelines by enumeration of the scheduled program.
 //!
-//! The analytic machinery of paper §6.2.1 (see [`crate::vectors`]) exists
-//! because exact enumeration was expensive in 1986. Here enumeration is
-//! cheap, so it serves two roles: the reference ("ground truth") the
-//! closed-form bounds are validated against, and the exact engine for
-//! queue-occupancy analysis.
+//! The test oracle. Enumerating every dynamic I/O operation is the
+//! definition of the exact skew and occupancy, but its cost follows the
+//! data, so no compile runs it: the analysis is [`crate::nest`], which
+//! works on the loop structure. [`Timeline`] is the "ground truth" the
+//! nest engine and the closed-form bounds of [`crate::vectors`] are
+//! validated against, and [`visit_events`] is the same for host scripts.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use w2_lang::ast::{Chan, Dir};
 use w2_lang::hir::VarId;
 use warp_cell::{io_index, CellCode, CodeRegion, IoEvent};
 use warp_common::idvec::Id as _;
-use warp_common::{CancelReason, CancelToken, IdVec};
+use warp_common::IdVec;
 use warp_ir::affine::LoopId;
 use warp_ir::region::LoopMeta;
 use warp_ir::HostSlot;
@@ -49,44 +49,6 @@ pub enum HostBinding {
 /// runs once per dynamic operation — for large programs this is the
 /// memory-friendly interface.
 pub fn visit_events(code: &CellCode, loops: &IdVec<LoopId, LoopMeta>, mut f: impl FnMut(&TimedIo)) {
-    let infallible = try_visit_events(code, loops, |e| {
-        f(e);
-        Ok::<(), EnumStop>(())
-    });
-    debug_assert!(infallible.is_ok());
-}
-
-/// Why a budgeted enumeration stopped before completing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EnumStop {
-    /// The dynamic event budget ran out: the program's I/O volume is too
-    /// large for exact enumeration within the configured slice.
-    Budget,
-    /// The cancel token tripped mid-enumeration.
-    Cancelled(CancelReason),
-}
-
-impl fmt::Display for EnumStop {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EnumStop::Budget => write!(f, "event budget exhausted"),
-            EnumStop::Cancelled(r) => write!(f, "{r}"),
-        }
-    }
-}
-
-/// Like [`visit_events`], but the callback can stop the enumeration
-/// early by returning `Err` — the engine behind budgeted and
-/// cancellable analyses.
-///
-/// # Errors
-///
-/// Propagates the first `Err` the callback returns.
-pub fn try_visit_events<E>(
-    code: &CellCode,
-    loops: &IdVec<LoopId, LoopMeta>,
-    mut f: impl FnMut(&TimedIo) -> Result<(), E>,
-) -> Result<(), E> {
     walk_events(code, loops, |time, e, env| {
         let host = e.ext.as_ref().map(|slot| match slot {
             HostSlot::Lit(v) => HostBinding::Lit(*v),
@@ -109,23 +71,23 @@ pub fn try_visit_events<E>(
 /// execution order; `env[l.index()]` is the current index value of an
 /// enclosing loop `l`. Host bindings are left unevaluated, so a caller
 /// that only reads times pays nothing for them.
-fn walk_events<E>(
+fn walk_events(
     code: &CellCode,
     loops: &IdVec<LoopId, LoopMeta>,
-    mut f: impl FnMut(u64, &IoEvent, &[i64]) -> Result<(), E>,
-) -> Result<(), E> {
-    fn walk<E>(
+    mut f: impl FnMut(u64, &IoEvent, &[i64]),
+) {
+    fn walk(
         regions: &[CodeRegion],
         loops: &IdVec<LoopId, LoopMeta>,
         env: &mut [i64],
         t: &mut u64,
-        f: &mut impl FnMut(u64, &IoEvent, &[i64]) -> Result<(), E>,
-    ) -> Result<(), E> {
+        f: &mut impl FnMut(u64, &IoEvent, &[i64]),
+    ) {
         for region in regions {
             match region {
                 CodeRegion::Block(b) => {
                     for e in &b.io_events {
-                        f(*t + u64::from(e.cycle), e, env)?;
+                        f(*t + u64::from(e.cycle), e, env);
                     }
                     *t += u64::from(b.len());
                 }
@@ -133,15 +95,14 @@ fn walk_events<E>(
                     let lo = loops[*id].lo;
                     for iter in 0..*count {
                         env[id.index()] = lo + iter as i64;
-                        walk(body, loops, env, t, f)?;
+                        walk(body, loops, env, t, f);
                     }
                 }
             }
         }
-        Ok(())
     }
     let mut env = vec![0i64; loops.len()];
-    walk(&code.regions, loops, &mut env, &mut 0, &mut f)
+    walk(&code.regions, loops, &mut env, &mut 0, &mut f);
 }
 
 /// Send and receive times per `(direction, channel)`.
@@ -158,43 +119,15 @@ pub struct Timeline {
 impl Timeline {
     /// Builds the timeline of `code` by full enumeration.
     pub fn build(code: &CellCode, loops: &IdVec<LoopId, LoopMeta>) -> Timeline {
-        Timeline::build_budgeted(code, loops, &CancelToken::none(), 0)
-            .expect("unbudgeted enumeration cannot stop early")
-    }
-
-    /// Like [`Timeline::build`], but stops early when the enumeration
-    /// exceeds `max_events` dynamic operations (`0` = unlimited) or when
-    /// `cancel` trips; the token is polled every few thousand events, so
-    /// a stop request is observed promptly even on huge programs.
-    ///
-    /// # Errors
-    ///
-    /// [`EnumStop`] describing which limit stopped the enumeration.
-    pub fn build_budgeted(
-        code: &CellCode,
-        loops: &IdVec<LoopId, LoopMeta>,
-        cancel: &CancelToken,
-        max_events: u64,
-    ) -> Result<Timeline, EnumStop> {
-        const POLL_EVERY: u64 = 4096;
         let mut tl = Timeline {
             span: code.dynamic_len(),
             ..Timeline::default()
         };
-        let mut seen = 0u64;
         // Times by [is_recv][I/O port]: no map lookup per event.
         let mut lanes: [[Vec<u64>; 4]; 2] = Default::default();
         walk_events(code, loops, |time, e, _| {
-            seen += 1;
-            if max_events != 0 && seen > max_events {
-                return Err(EnumStop::Budget);
-            }
-            if seen.is_multiple_of(POLL_EVERY) {
-                cancel.check().map_err(EnumStop::Cancelled)?;
-            }
             lanes[usize::from(e.is_recv)][io_index(e.dir, e.chan)].push(time);
-            Ok(())
-        })?;
+        });
         for dir in [Dir::Left, Dir::Right] {
             for chan in [Chan::X, Chan::Y] {
                 for (map, ports) in [&mut tl.sends, &mut tl.recvs].into_iter().zip(&mut lanes) {
@@ -205,7 +138,7 @@ impl Timeline {
                 }
             }
         }
-        Ok(tl)
+        tl
     }
 
     /// The exact minimum skew for one channel: the receiver (running the
@@ -357,65 +290,6 @@ mod tests {
         let ins = &tl.recvs[&(Dir::Left, Chan::X)];
         let skew = Timeline::channel_skew(outs, ins).unwrap();
         assert_eq!(outs[1] as i64, ins[1] as i64 + skew);
-    }
-
-    /// A synthetic single-block loop producing `count` dynamic sends.
-    fn big_loop(count: u64) -> (CellCode, IdVec<LoopId, LoopMeta>) {
-        use warp_cell::{BlockCode, IoEvent, MicroInst};
-        let mut loops = IdVec::new();
-        let lid = loops.push(LoopMeta {
-            var: VarId(0),
-            lo: 0,
-            count,
-        });
-        let body = BlockCode {
-            insts: vec![MicroInst::default()],
-            io_events: vec![IoEvent {
-                cycle: 0,
-                dir: Dir::Right,
-                chan: Chan::X,
-                is_recv: false,
-                ext: None,
-            }],
-            adr_deadlines: vec![],
-            source: None,
-        };
-        let code = CellCode {
-            name: "big".into(),
-            pipelined: vec![],
-            regions: vec![CodeRegion::Loop {
-                id: lid,
-                count,
-                body: vec![CodeRegion::Block(body)],
-            }],
-            regs_used: 0,
-            scratch_words: 0,
-        };
-        (code, loops)
-    }
-
-    #[test]
-    fn budgeted_build_stops_on_event_budget() {
-        let (code, loops) = big_loop(10_000);
-        let err = Timeline::build_budgeted(&code, &loops, &warp_common::CancelToken::none(), 100)
-            .unwrap_err();
-        assert_eq!(err, EnumStop::Budget);
-        // Unlimited budget completes.
-        let tl = Timeline::build_budgeted(&code, &loops, &warp_common::CancelToken::none(), 0)
-            .expect("unlimited");
-        assert_eq!(tl.sends[&(Dir::Right, Chan::X)].len(), 10_000);
-    }
-
-    #[test]
-    fn budgeted_build_observes_cancellation_within_one_poll_interval() {
-        use std::sync::Arc;
-        use warp_common::{CancelReason, CancelToken, ManualClock};
-        let token = CancelToken::new(Arc::new(ManualClock::new(0)));
-        token.cancel();
-        let (code, loops) = big_loop(10_000);
-        let err = Timeline::build_budgeted(&code, &loops, &token, 0).unwrap_err();
-        assert_eq!(err, EnumStop::Cancelled(CancelReason::Cancelled));
-        assert!(!err.to_string().is_empty());
     }
 
     #[test]

@@ -454,7 +454,8 @@ fn term_max(coeff: Rat, range: i64, pinned: Option<i64>) -> Option<Rat> {
 }
 
 /// A conservative closed-form queue occupancy bound per channel, used
-/// when the exact enumeration's budget is exhausted (degraded mode).
+/// when the program exceeds the exact analysis's event budget (degraded
+/// mode).
 ///
 /// A word with ordinal `n`, enqueued by the sender at `τ_O(n)` and
 /// dequeued by the receiver at `τ_I(n) + skew`, resides in the queue at
